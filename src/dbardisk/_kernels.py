@@ -1,41 +1,16 @@
-"""Hot grid kernels, numba-jitted with a pure-numpy fallback.
+"""Hot grid kernels in vectorized numpy.
 
-The package is numpy throughout; only the kernels below sit in inner loops
-(per-node energy densities, the polar chain rule, and all-pairs Gram
-reductions over variation bases). Each has two implementations with
-identical semantics:
-
-* a ``@njit(cache=True)`` version compiled by numba, used by default when
-  numba is importable;
-* a vectorized numpy version.
-
-Set the environment variable ``DBARDISK_NUMBA=0`` before import to force
-the numpy path (the benchmark in ``benchmarks/bench_kernels.py`` compares
-the two). All reductions run in a fixed order so results are reproducible
-run to run on a given path.
+Only the kernels below sit in inner loops: per-node energy densities, the
+polar chain rule, and the all-pairs Gram reduction over variation bases
+that are not separable (separable bases take the factorised route in
+``secondvar.assemble_gram``). All reductions run in a fixed order so
+results are reproducible run to run.
 """
-
-import os
 
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("DBARDISK_NUMBA", "1").lower() not in ("0", "false", "off")
 
-try:
-    if not _WANT_NUMBA:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _energy_densities_numpy(fx, fy):
+def energy_densities(fx, fy):
     """Pointwise energy densities from cartesian derivative fields.
 
     fx, fy have shape (nr, nt, 2n) with components ordered (x_1..x_n,
@@ -61,7 +36,7 @@ def _energy_densities_numpy(fx, fy):
     return e_del, e_dbar, kahler, e_full
 
 
-def _polar_to_cartesian_numpy(fr, ft, inv_r, cos_t, sin_t):
+def polar_to_cartesian(fr, ft, inv_r, cos_t, sin_t):
     """Chain rule f_x = cos(t) f_r - sin(t)/r f_t, f_y = sin(t) f_r + cos(t)/r f_t.
 
     fr, ft: (nr, nt, C); inv_r: (nr,); cos_t, sin_t: (nt,).
@@ -74,119 +49,15 @@ def _polar_to_cartesian_numpy(fr, ft, inv_r, cos_t, sin_t):
     return fx, fy
 
 
-def _gram_interior_numpy(gx, gy, w2):
-    """All-pairs weighted interior products.
+def gram_interior(grads, w2):
+    """All-pairs weighted interior products of stacked gradients.
 
-    gx, gy: (m, nr, nt, C) cartesian gradients of m fields; w2: (nr, nt)
-    quadrature weights. Returns the (m, m) matrix with entries
-    sum_grid w2 * (<gx_a, gx_b> + <gy_a, gy_b>).
+    grads: (m, k, nr, nt, C), the k components of the gradients of m fields
+    in any orthonormal frame; it is scaled by sqrt(w2) in place. w2:
+    (nr, nt) quadrature weights. Returns the (m, m) matrix with entries
+    sum_grid w2 * <grad_a, grad_b>.
     """
-    m = gx.shape[0]
-    sw = np.sqrt(w2)[None, :, :, None]
-    xa = (gx * sw).reshape(m, -1)
-    ya = (gy * sw).reshape(m, -1)
-    return xa @ xa.T + ya @ ya.T
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _energy_densities_numba(fx, fy):  # pragma: no cover - exercised when numba on
-        nr, nt, c2 = fx.shape
-        n = c2 // 2
-        e_del = np.empty((nr, nt))
-        e_dbar = np.empty((nr, nt))
-        kahler = np.empty((nr, nt))
-        e_full = np.empty((nr, nt))
-        for i in range(nr):
-            for j in range(nt):
-                sd = 0.0
-                sb = 0.0
-                sk = 0.0
-                sf = 0.0
-                for a in range(n):
-                    x1 = fx[i, j, a]
-                    x2 = fx[i, j, n + a]
-                    y1 = fy[i, j, a]
-                    y2 = fy[i, j, n + a]
-                    # J(v) on (x-part, y-part) is (-y-part, x-part)
-                    pb1 = x1 - y2
-                    pb2 = x2 + y1
-                    pd1 = x1 + y2
-                    pd2 = x2 - y1
-                    sb += pb1 * pb1 + pb2 * pb2
-                    sd += pd1 * pd1 + pd2 * pd2
-                    sk += -x2 * y1 + x1 * y2
-                    sf += x1 * x1 + x2 * x2 + y1 * y1 + y2 * y2
-                e_dbar[i, j] = 0.25 * sb
-                e_del[i, j] = 0.25 * sd
-                kahler[i, j] = sk
-                e_full[i, j] = 0.5 * sf
-        return e_del, e_dbar, kahler, e_full
-
-    @njit(cache=True)
-    def _polar_to_cartesian_numba(fr, ft, inv_r, cos_t, sin_t):  # pragma: no cover
-        nr, nt, c2 = fr.shape
-        fx = np.empty_like(fr)
-        fy = np.empty_like(fr)
-        for i in range(nr):
-            ir = inv_r[i]
-            for j in range(nt):
-                c = cos_t[j]
-                s = sin_t[j]
-                for a in range(c2):
-                    tor = ft[i, j, a] * ir
-                    fx[i, j, a] = c * fr[i, j, a] - s * tor
-                    fy[i, j, a] = s * fr[i, j, a] + c * tor
-        return fx, fy
-
-    @njit(cache=True)
-    def _gram_interior_numba(gx, gy, w2):  # pragma: no cover
-        m, nr, nt, c2 = gx.shape
-        out = np.zeros((m, m))
-        for a in range(m):
-            for b in range(a, m):
-                acc = 0.0
-                for i in range(nr):
-                    for j in range(nt):
-                        s = 0.0
-                        for c in range(c2):
-                            s += gx[a, i, j, c] * gx[b, i, j, c]
-                            s += gy[a, i, j, c] * gy[b, i, j, c]
-                        acc += w2[i, j] * s
-                out[a, b] = acc
-                out[b, a] = acc
-        return out
-
-
-def energy_densities(fx, fy):
-    if NUMBA_ENABLED and fx.dtype == np.float64:
-        return _energy_densities_numba(
-            np.ascontiguousarray(fx), np.ascontiguousarray(fy)
-        )
-    return _energy_densities_numpy(fx, fy)
-
-
-def polar_to_cartesian(fr, ft, inv_r, cos_t, sin_t):
-    if NUMBA_ENABLED and fr.dtype == np.float64:
-        return _polar_to_cartesian_numba(
-            np.ascontiguousarray(fr), np.ascontiguousarray(ft), inv_r, cos_t, sin_t
-        )
-    return _polar_to_cartesian_numpy(fr, ft, inv_r, cos_t, sin_t)
-
-
-def gram_interior(gx, gy, w2):
-    if NUMBA_ENABLED and gx.dtype == np.float64:
-        return _gram_interior_numba(
-            np.ascontiguousarray(gx), np.ascontiguousarray(gy), np.ascontiguousarray(w2)
-        )
-    return _gram_interior_numpy(gx, gy, w2)
-
-
-def warm_up():
-    """Trigger JIT compilation of all kernels on tiny inputs."""
-    fx = np.zeros((2, 2, 2))
-    fy = np.zeros((2, 2, 2))
-    energy_densities(fx, fy)
-    polar_to_cartesian(fx, fy, np.ones(2), np.ones(2), np.zeros(2))
-    gram_interior(fx[None], fy[None], np.ones((2, 2)))
+    m = grads.shape[0]
+    grads *= np.sqrt(w2)[:, :, None]
+    x = grads.reshape(m, -1)
+    return x @ x.T

@@ -95,18 +95,17 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
+        if args.out:
+            text = "\n".join(emit(report, args.out)) + "\n"
+        else:
+            text = to_json_text(report.to_json_dict())
     except Refusal as exc:
         print(f"refusal: {exc}", file=sys.stderr)
         return 2
     except (DbarDiskError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = to_json_text(report.to_json_dict())
-    if args.out:
-        paths = emit(report, args.out)
-        print("\n".join(paths))
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -46,24 +46,14 @@ __all__ = [
 DBAR_RAW_FACTOR = 4.0
 
 
-def _barycentric_weights(x):
-    n = x.size
-    w = np.ones(n)
-    for i in range(n):
-        d = x[i] - np.delete(x, i)
-        w[i] = 1.0 / np.prod(d)
-    return w / np.max(np.abs(w))
-
-
 def _differentiation_matrix(x):
-    w = _barycentric_weights(x)
-    n = x.size
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-        d[i, i] = -np.sum(d[i])
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    w = 1.0 / np.prod(diff, axis=1)  # barycentric weights
+    w = w / np.max(np.abs(w))
+    d = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
 
 

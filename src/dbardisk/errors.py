@@ -63,5 +63,9 @@ class VacuousCertificateError(Refusal):
     """The map is holomorphic, so an instability certificate is vacuous."""
 
 
+class NonFiniteValueError(DbarDiskError):
+    """A report holds NaN or an infinity, which strict JSON cannot encode."""
+
+
 class DegeneratePivotError(DbarDiskError):
     """All holomorphic pairings vanish identically; no pivot section."""

@@ -23,7 +23,7 @@ from .diskmap import (
     energies,
     make_map,
 )
-from .errors import DbarDiskError
+from .errors import DbarDiskError, NonFiniteValueError
 from .geometry import classify_pseudoconvexity, make_domain
 from .holsec import certify_index
 from .secondvar import (
@@ -122,15 +122,13 @@ class Report:
 # JSON with stable float formatting
 
 
-def _format_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
+def _format_float(x: float, where: str) -> str:
+    if not np.isfinite(x):
+        raise NonFiniteValueError(f"report value {where} is {x}, not a finite number")
     return format(float(x), ".17g")
 
 
-def _json_value(obj) -> str:
+def _json_value(obj, where="$") -> str:
     import json as _json
 
     if obj is None or isinstance(obj, bool):
@@ -138,23 +136,26 @@ def _json_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return _format_float(float(obj), where)
     if isinstance(obj, str):
         return _json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+        return "[" + ", ".join(
+            _json_value(v, f"{where}[{i}]") for i, v in enumerate(obj)
+        ) + "]"
     if isinstance(obj, np.ndarray):
-        return _json_value(obj.tolist())
+        return _json_value(obj.tolist(), where)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return "{" + ", ".join(
-            f"{_json.dumps(str(k))}: {_json_value(v)}" for k, v in items
+            f"{_json.dumps(str(k))}: {_json_value(v, f'{where}.{k}')}" for k, v in items
         ) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json_text(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Strict, deterministic JSON: sorted keys, floats at 17 significant
+    digits. Raises NonFiniteValueError on NaN or an infinity."""
     return _json_value(obj) + "\n"
 
 
@@ -293,9 +294,10 @@ def emit(report: Report, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     jpath = os.path.join(out_dir, "report.json")
+    text = to_json_text(report.to_json_dict())
     try:
         with open(jpath, "w", encoding="utf-8") as fh:
-            fh.write(to_json_text(report.to_json_dict()))
+            fh.write(text)
     except OSError as exc:
         raise DbarDiskError(f"cannot write report to {jpath}: {exc}") from exc
     paths.append(jpath)

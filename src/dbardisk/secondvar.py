@@ -83,7 +83,8 @@ class VariationField:
 
     profile/angular, when set, describe the field in separable closed form
     values[i, j, :] = profile(r_i) * angular[j, :], which lets the cutoff
-    machinery evaluate the field on radii off the grid.
+    machinery evaluate the field on radii off the grid and Gram assembly
+    factor its interior block (after checking the factors against values).
     """
 
     grid: DiskGrid
@@ -127,9 +128,15 @@ class VariationField:
             angular=self.angular,
         )
 
-    def gradients(self):
+    def gradients(self, polar=False):
+        """(V_x, V_y), or with polar=True (V_r, V_theta / r).
+
+        Both frames are orthonormal, so either gives <grad V, grad W>.
+        """
         fr = self.grid.radial_derivative(self.values)
         ft = self.grid.theta_derivative(self.values)
+        if polar:
+            return fr, ft * self.grid.inv_r[:, None, None]
         return self.grid.cartesian_from_polar(fr, ft)
 
     @property
@@ -341,6 +348,43 @@ class GramSpectrum:
         }
 
 
+def _separable_factors(V: VariationField):
+    """(profile(r), angular) when V.values equals their product to 1e-12
+    relative, else None. values is a public array that may have changed
+    since construction, so the stored factors are checked, not trusted.
+    """
+    ang = V.angular
+    if V.profile is None or ang is None or np.iscomplexobj(ang):
+        return None
+    prof = np.asarray(V.profile(V.grid.r), dtype=float)
+    if prof.shape != V.values.shape[:1] or np.shape(ang) != V.values.shape[1:]:
+        return None
+    gap = prof[:, None, None] * ang
+    gap -= V.values
+    scale = max(V.values.max(), -V.values.min())
+    if not max(gap.max(), -gap.min()) <= 1e-12 * scale:
+        return None
+    return prof, ang
+
+
+def _separable_interior(grid: DiskGrid, factors) -> np.ndarray:
+    """int_D <grad V_a, grad V_b> dx dy for fields V_a = p_a(r) A_a(theta).
+
+    |grad V|^2 = |V_r|^2 + |V_theta|^2 / r^2, so the integral is
+    w_theta (R1 o T1 + R2 o T2): radial Grams of p' (weight w_r r) and of p
+    (weight w_r / r) times angular Grams of A and of A_theta, entrywise.
+    """
+    m = len(factors)
+    p = np.array([prof for prof, _ in factors])
+    ang = np.array([a for _, a in factors])
+    dp = p @ grid._d_r.T
+    ang_t = grid.theta_derivative(ang, axis=1).reshape(m, -1)
+    ang = ang.reshape(m, -1)
+    r1 = (dp * (grid.w_r * grid.r)) @ dp.T
+    r2 = (p * (grid.w_r * grid.inv_r)) @ p.T
+    return grid.w_theta * (r1 * (ang @ ang.T) + r2 * (ang_t @ ang_t.T))
+
+
 def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationField],
                   *, tol_neg_rel: float = 1e-8, tol_adm: float = 1e-7,
                   description: str = "", state: Optional[BoundaryState] = None
@@ -349,7 +393,9 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
 
     negative_count uses the relative threshold tol_neg_rel * max |eigenvalue|;
     it certifies a lower bound for the Morse index (a finite basis can never
-    certify an upper bound).
+    certify an upper bound). When every field is verified separable the
+    interior block comes from radial and angular factors; otherwise from
+    the polar-frame gradients of all fields.
     """
     basis = list(basis)
     if not basis:
@@ -365,13 +411,15 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
 
     m = len(basis)
     grid = f.grid
-    gx = np.empty((m, grid.n_r, grid.n_theta, 2 * f.n))
-    gy = np.empty_like(gx)
-    vb = np.empty((m, grid.n_theta, 2 * f.n))
-    for i, V in enumerate(basis):
-        gx[i], gy[i] = V.gradients()
-        vb[i] = V.boundary
-    interior = _kernels.gram_interior(gx, gy, grid.w_disk)
+    vb = np.array([V.boundary for V in basis], dtype=float)
+    factors = [_separable_factors(V) for V in basis]
+    if all(fac is not None for fac in factors):
+        interior = _separable_interior(grid, factors)
+    else:
+        grads = np.empty((m, 2, grid.n_r, grid.n_theta, 2 * f.n))
+        for i, V in enumerate(basis):
+            grads[i, 0], grads[i, 1] = V.gradients(polar=True)
+        interior = _kernels.gram_interior(grads, grid.w_disk)
 
     # acceleration block: -sum_m w lam/|grad| (V_i . Hess . V_j)
     hv = np.einsum("mij,amj->ami", state.hess, vb)

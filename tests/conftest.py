@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from dbardisk import _kernels
 from dbardisk.diskmap import DiskGrid, make_map
 from dbardisk.geometry import make_domain
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timed tests see steady-state speed
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,30 @@ def test_radial_differentiation_exactness(grid):
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def _loop_differentiation_matrix(x):
+    # the textbook per-entry definition: barycentric weights
+    # 1 / prod_{j != i} (x_i - x_j), off-diagonal (w_j / w_i) / (x_i - x_j)
+    # and the negative row sum on the diagonal
+    n = x.size
+    w = np.array([1.0 / np.prod(x[i] - np.delete(x, i)) for i in range(n)])
+    w = w / np.max(np.abs(w))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+        d[i, i] = -np.sum(d[i])
+    return d
+
+
+@pytest.mark.parametrize("n_r", [4, 32, 64, 128])
+def test_differentiation_matrix_matches_loop_definition(n_r):
+    grid = DiskGrid(n_r, 8)
+    assert np.array_equal(grid._d_r, _loop_differentiation_matrix(grid.r))
+    d_aug = _loop_differentiation_matrix(np.concatenate([grid.r, [1.0]]))
+    assert np.array_equal(grid._d1_row, d_aug[-1])
+
+
 def test_boundary_radial_derivative(grid):
     poly = np.polynomial.Polynomial([0.0, 0.5, 0.0, 1.5])
     vals = poly(grid.r)[:, None, None] * np.ones((1, grid.n_theta, 1))

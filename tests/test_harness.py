@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dbardisk.cli import main
-from dbardisk.errors import Refusal
+from dbardisk.errors import NonFiniteValueError, Refusal
 from dbardisk.harness import ScenarioConfig, emit, run, to_json_text
 from conftest import SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP
 
@@ -108,6 +108,17 @@ def test_json_float_formatting():
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_json_refuses_non_finite(bad, tmp_path):
+    with pytest.raises(NonFiniteValueError, match=r"\$\.a\.b\[1\]"):
+        to_json_text({"a": {"b": [1.0, bad]}})
+    rep = run(ScenarioConfig(action="energy", map="f1"))
+    rep.results["energy"]["e_dbar"] = bad
+    with pytest.raises(NonFiniteValueError):
+        emit(rep, tmp_path)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path):
     cfg = dict(action="index", domain="ball4", map="f3", basis_size=12,
                seed=3, deterministic=True)
@@ -171,6 +182,30 @@ def test_cli_config_file_and_out(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out_dir / "report.json").read_text())
     assert doc["results"]["certificate"]["certified_bound"] == 1
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_cli_overflowing_map_is_an_error(tmp_path, capsys, out):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"map": {"n": 2, "coords": [
+        [{"zp": 1, "zq": 0, "re": 1e200}], [{"zp": 0, "zq": 1, "re": 1.0}]]}}))
+    argv = ["energy", "--config", str(cfg_path)]
+    if out:
+        argv += ["--out", str(tmp_path / "run")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == "" or _strict_json(captured.out)
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_cli_grid_flag(capsys):

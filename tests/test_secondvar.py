@@ -245,6 +245,85 @@ def test_gram_negative_count_monotone_in_tolerance(grid, maps, ball):
     assert loose.negative_count <= tight.negative_count
 
 
+def _without_factors(basis):
+    return [sv.VariationField(V.grid, V.n, V.values, V.boundary, label=V.label)
+            for V in basis]
+
+
+def _count_generic(monkeypatch):
+    calls = []
+    generic = sv._kernels.gram_interior
+
+    def spy(*args):
+        calls.append(1)
+        return generic(*args)
+
+    monkeypatch.setattr(sv._kernels, "gram_interior", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def gram_cases(grid, maps, weak, ball):
+    fine = DiskGrid(64, 128)
+    f3 = make_map("f3", fine)
+    return {
+        "f4-weak-32x64": (maps["f4"], weak, sv.admissible_basis(maps["f4"], weak, 52)),
+        "f3-ball-64x128": (f3, ball, sv.admissible_basis(f3, ball, 60)),
+    }
+
+
+@pytest.mark.parametrize("case", ["f4-weak-32x64", "f3-ball-64x128"])
+def test_gram_separable_matches_generic(gram_cases, case, monkeypatch):
+    f, df, basis = gram_cases[case]
+    calls = _count_generic(monkeypatch)
+    sep = sv.assemble_gram(f, df, basis)
+    assert calls == []
+    gen = sv.assemble_gram(f, df, _without_factors(basis))
+    assert calls == [1]
+    scale = np.max(np.abs(gen.matrix))
+    assert np.max(np.abs(sep.matrix - gen.matrix)) <= 1e-12 * scale
+    assert sep.negative_count == gen.negative_count
+
+
+@pytest.mark.parametrize("case", ["f4-weak-32x64", "f3-ball-64x128"])
+def test_gram_entries_match_index_form(gram_cases, case):
+    # second route: each entry is the polarized index form of its two fields
+    f, df, basis = gram_cases[case]
+    gs = sv.assemble_gram(f, df, basis)
+    g = gs.matrix
+    for i, j in [(0, 0), (0, 8), (3, 17), (10, 41), (25, 51), (51, 51)]:
+        direct = sv.index_form_real(f, df, basis[i], basis[j])
+        scale = max(abs(g[i, j]), np.sqrt(abs(g[i, i] * g[j, j])))
+        assert abs(g[i, j] - direct) <= 1e-10 * scale, (i, j)
+
+
+def test_gram_generic_entries_match_index_form(grid, maps, ball):
+    from dbardisk.holsec import build_U, build_frame
+
+    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    basis = [us.sections[0].real_part, us.sections[0].imag_part]
+    basis += sv.interior_bumps(grid, 2, 6)
+    g = sv.assemble_gram(maps["f3"], ball, basis).matrix
+    for i, j in [(0, 0), (0, 1), (1, 1), (0, 5), (4, 7)]:
+        direct = sv.index_form_real(maps["f3"], ball, basis[i], basis[j])
+        scale = max(abs(g[i, j]), np.sqrt(abs(g[i, i] * g[j, j])))
+        assert abs(g[i, j] - direct) <= 1e-10 * scale, (i, j)
+
+
+def test_gram_stale_factors_take_generic_path(grid, maps, weak, monkeypatch):
+    basis = sv.admissible_basis(maps["f4"], weak, 20)
+    stale = basis[5]
+    # keep the field admissible (boundary untouched) but change the interior
+    stale.values[: grid.n_r // 2] *= 1.0 + 1e-9
+    assert sv._separable_factors(stale) is None
+    assert all(sv._separable_factors(V) is not None for V in basis[:5])
+    calls = _count_generic(monkeypatch)
+    got = sv.assemble_gram(maps["f4"], weak, basis)
+    assert calls == [1]
+    want = sv.assemble_gram(maps["f4"], weak, _without_factors(basis))
+    assert np.array_equal(got.matrix, want.matrix)
+
+
 # ---------------------------------------------------------------------------
 # logarithmic cutoff
 
