@@ -20,7 +20,6 @@ from .diskmap import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     BoundaryPointData,
-    ComplexStructure,
     DefiningFunction,
     apply_j,
     boundary_data,

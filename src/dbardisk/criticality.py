@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diskmap import DiskMap, derivatives
-from .errors import ConstraintViolationError, DegenerateBoundaryError
-from .geometry import DefiningFunction, apply_j
+from .geometry import DefiningFunction, apply_j, boundary_data
 
 __all__ = [
     "CriticalityReport",
@@ -55,33 +54,18 @@ def boundary_condition(f: DiskMap, df: DefiningFunction, tol_boundary: float = 1
                        tol_degenerate: float = 1e-12):
     """Free-boundary residual and the multiplier lambda(theta).
 
-    At each boundary node computes nu = grad rho / |grad rho| at the image
-    point, lambda = <f_r + J f_theta, nu> and the residual
-    |f_r + J f_theta - lambda nu|. Returns (sup residual, lambda samples).
+    At the boundary nodes takes nu = grad rho / |grad rho| at the image
+    points from ``boundary_data`` (which checks |rho| <= tol_boundary and
+    |grad rho| >= tol_degenerate), lambda = <f_r + J f_theta, nu> and the
+    residual |f_r + J f_theta - lambda nu|. Returns (sup residual, lambda
+    samples).
     """
     d = f.derivatives()
     b = d.boundary_f_r + apply_j(d.boundary_f_theta)
-    n_t = f.grid.n_theta
-    # validate the free-boundary constraint before touching normals
-    rho_vals = np.array([float(df.rho(p)) for p in f.boundary])
-    worst = int(np.argmax(np.abs(rho_vals)))
-    if abs(rho_vals[worst]) > tol_boundary:
-        raise ConstraintViolationError(
-            f"boundary image off the hypersurface: |rho| = "
-            f"{abs(rho_vals[worst]):.3e} at node {worst}",
-            worst_node=worst,
-            worst_value=rho_vals[worst],
-        )
-    lam = np.empty(n_t)
-    res = np.empty(n_t)
-    for m in range(n_t):
-        grad = np.asarray(df.grad(f.boundary[m]), dtype=float)
-        gn = float(np.linalg.norm(grad))
-        if gn < tol_degenerate:
-            raise DegenerateBoundaryError(f"|grad rho| = {gn:.3e} at boundary node {m}")
-        nu = grad / gn
-        lam[m] = float(b[m] @ nu)
-        res[m] = float(np.linalg.norm(b[m] - lam[m] * nu))
+    nu = boundary_data(df, f.boundary, tol_boundary=tol_boundary,
+                       tol_degenerate=tol_degenerate).nu
+    lam = np.sum(b * nu, axis=-1)
+    res = np.linalg.norm(b - lam[:, None] * nu, axis=-1)
     return float(np.max(res)), lam
 
 

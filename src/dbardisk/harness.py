@@ -233,7 +233,7 @@ def run(config: ScenarioConfig) -> Report:
     elif action == "index":
         f = _require(f, "map")
         df = _require(df, "domain")
-        basis = admissible_basis(f, df, config.basis_size, seed=config.seed)
+        basis = admissible_basis(f, df, config.basis_size)
         gram = assemble_gram(
             f, df, basis,
             tol_neg_rel=tol.get("tol_neg_rel", 1e-8),
@@ -252,7 +252,7 @@ def run(config: ScenarioConfig) -> Report:
     elif action == "levi":
         f = _require(f, "map")
         rep = classify_pseudoconvexity(
-            _require(df, "domain"), list(f.boundary), k=config.k,
+            _require(df, "domain"), f.boundary, k=config.k,
             tol_pc=tol.get("tol_pc", 1e-9),
         )
         results["levi"] = rep.to_json_dict()
@@ -272,7 +272,8 @@ def run(config: ScenarioConfig) -> Report:
             })
         results["cutoff"] = cut_res
         if config.map is not None and config.domain is not None:
-            V = admissible_basis(f, df, 8, seed=config.seed)[4]
+            basis = admissible_basis(f, df, 2 * f.n + 1)
+            V = {W.label: W for W in basis}["frame-k1-cos-e0"]
             results["cutoff_transfer"] = cutoff_stability_check(
                 f, df, V, config.eps_list
             )

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import is_critical
+from .criticality import INNER_RADIUS, INTERIOR_RADIUS, is_critical
 from .diskmap import DiskMap, dbar_density
 from .errors import (
     DegeneratePivotError,
@@ -233,12 +233,15 @@ def build_U(frame: HolomorphicFrame, f: DiskMap, tol_holo: float = 1e-8) -> USec
     pivot = int(np.argmax(sups))
     if sups[pivot] < 1e-14:
         raise DegeneratePivotError("all frame pairings vanish identically")
-    # each coefficient must be holomorphic (f harmonic)
+    # each coefficient must be holomorphic (f harmonic). dbar c_j is
+    # conj(Laplacian f_j) / 4, so the sup is taken on the annulus that
+    # harmonic_residual uses, away from the noise at the centre and the rim
     cr = grid.radial_derivative(coeff)
     ct = grid.theta_derivative(coeff)
     cx, cy = grid.cartesian_from_polar(cr, ct)
     dbar_c = 0.5 * (cx + 1j * cy)
-    dbar_sup = float(np.max(np.abs(dbar_c)))
+    annulus = (grid.r >= INNER_RADIUS) & (grid.r <= INTERIOR_RADIUS)
+    dbar_sup = float(np.max(np.abs(dbar_c[annulus])))
 
     sections = []
     orth_sup = 0.0
@@ -321,7 +324,7 @@ def certify_index(f: DiskMap, df: DefiningFunction, k: int = 1, *,
             f"{report.harmonic_residual:.3e}, boundary residual "
             f"{report.boundary_residual:.3e}"
         )
-    classification = classify_pseudoconvexity(df, list(f.boundary), k=k, tol_pc=tol_pc)
+    classification = classify_pseudoconvexity(df, f.boundary, k=k, tol_pc=tol_pc)
     if classification.classification != "strict":
         raise Refusal(
             f"domain {df.name!r} is not strictly "

@@ -45,7 +45,7 @@ from .errors import (
     EmptyBasisError,
     InvalidVariationError,
 )
-from .geometry import DefiningFunction, apply_j, hermitian
+from .geometry import DefiningFunction, apply_j, boundary_data, hermitian
 
 __all__ = [
     "VariationField",
@@ -165,22 +165,13 @@ class BoundaryState:
 
 
 def boundary_state(f: DiskMap, df: DefiningFunction) -> BoundaryState:
+    """nu, |grad rho| and Hess rho at the boundary image, from one checked
+    ``boundary_data`` evaluation, and lambda = <f_r + J f_theta, nu>."""
     d = f.derivatives()
     b = d.boundary_f_r + apply_j(d.boundary_f_theta)
-    n_t = f.grid.n_theta
-    dim = 2 * f.n
-    nu = np.empty((n_t, dim))
-    gn = np.empty(n_t)
-    lam = np.empty(n_t)
-    hess = np.empty((n_t, dim, dim))
-    for m in range(n_t):
-        p = f.boundary[m]
-        grad = np.asarray(df.grad(p), dtype=float)
-        gn[m] = np.linalg.norm(grad)
-        nu[m] = grad / gn[m]
-        lam[m] = b[m] @ nu[m]
-        hess[m] = np.asarray(df.hess(p), dtype=float)
-    return BoundaryState(nu=nu, grad_norm=gn, lam=lam, hess=hess)
+    bd = boundary_data(df, f.boundary)
+    return BoundaryState(nu=bd.nu, grad_norm=bd.grad_norm,
+                         lam=np.sum(b * bd.nu, axis=-1), hess=bd.hess)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +415,7 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     # acceleration block: -sum_m w lam/|grad| (V_i . Hess . V_j)
     hv = np.einsum("mij,amj->ami", state.hess, vb)
     wfac = grid.w_theta * state.lam / state.grad_norm
-    acc = -np.einsum("ami,m,bmi->ab", hv, wfac, vb)
+    acc = -(hv * wfac[:, None]).reshape(m, -1) @ vb.reshape(m, -1).T
 
     # circulation block, symmetrized
     jt = apply_j(grid.theta_derivative(vb, axis=1))
@@ -480,7 +471,7 @@ def fd_second_variation(family: Callable[[float], DiskMap],
     def check(g: DiskMap, t: float):
         if df is None:
             return
-        worst = max(abs(float(df.rho(p))) for p in g.boundary)
+        worst = float(np.max(np.abs(df.rho(g.boundary))))
         if worst > tol_constraint:
             raise ConstraintViolationError(
                 f"family leaves the hypersurface at t={t:+.4f} "
@@ -508,10 +499,9 @@ def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray,
     """Newton steps along grad rho pulling points onto {rho = 0}."""
     out = np.array(points, dtype=float)
     for _ in range(iterations):
-        for m in range(out.shape[0]):
-            val = float(df.rho(out[m]))
-            grad = np.asarray(df.grad(out[m]), dtype=float)
-            out[m] = out[m] - val * grad / float(grad @ grad)
+        val = np.asarray(df.rho(out), dtype=float)[..., None]
+        grad = np.asarray(df.grad(out), dtype=float)
+        out = out - val * grad / np.sum(grad * grad, axis=-1, keepdims=True)
     return out
 
 
@@ -785,9 +775,6 @@ class LogCutoff:
         r = np.asarray(r, dtype=float)
         return float(np.max(np.abs(self.derivative(r)) * r * self.log_eps))
 
-    def grid_values(self, grid: DiskGrid) -> np.ndarray:
-        return self(grid.r)
-
 
 def log_cutoff(epsilon: float, ramp_width: float = 0.05) -> LogCutoff:
     return LogCutoff(epsilon=epsilon, ramp_width=ramp_width)
@@ -911,15 +898,14 @@ def interior_bumps(grid: DiskGrid, n: int, count: int, kmax: int = 4):
 
 
 def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *,
-                     kmax: int = 6, seed: int = 0,
-                     state: Optional[BoundaryState] = None):
+                     kmax: int = 6, state: Optional[BoundaryState] = None):
     """Deterministic admissible basis: projected tangent frames plus bumps.
 
     Boundary-tangent fields are the coordinate directions projected along
     the unit normal at each boundary node, modulated by trig(k theta) and
     extended inward with the profile r^{k+2}; they are followed by interior
     bumps once the frame modes are exhausted. Reproducible from
-    (size, kmax, seed); seed is recorded for report provenance.
+    (size, kmax).
     """
     state = state or boundary_state(f, df)
     grid = f.grid

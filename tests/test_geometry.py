@@ -11,6 +11,7 @@ from dbardisk.errors import (
 )
 from dbardisk.geometry import (
     DefiningFunction,
+    PolynomialRho,
     apply_j,
     boundary_data,
     classify_pseudoconvexity,
@@ -169,6 +170,127 @@ def test_rescaling_invariance(ball):
     bd2 = boundary_data(scaled, p)
     assert np.max(np.abs(bd1.nu - bd2.nu)) < 1e-12
     assert np.max(np.abs(bd1.levi - bd2.levi)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["ball4", "weak_rank_one", SYNTHETIC_C3_DOMAIN])
+def test_boundary_data_batched_equals_single_points(spec, rng):
+    df = make_domain(spec)
+    # random points pulled onto {rho = 0} by Newton steps along grad rho; on
+    # the ball and the C^3 domain the pivot of the tangent basis changes
+    # from point to point
+    p = rng.normal(size=(40, 2 * df.n))
+    for _ in range(12):
+        g = df.grad(p)
+        p = p - (df.rho(p) / np.sum(g * g, axis=-1))[:, None] * g
+    batched = boundary_data(df, p)
+    singles = [boundary_data(df, q) for q in p]
+    for name in ("point", "nu", "wp_basis", "levi", "grad_norm", "hess"):
+        stacked = np.stack([getattr(bd, name) for bd in singles])
+        got = getattr(batched, name)
+        assert got.shape == stacked.shape, name
+        assert np.max(np.abs(got - stacked)) <= 1e-15, name
+
+
+def test_boundary_data_names_the_failing_node(ball):
+    p = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    with pytest.raises(ConstraintViolationError) as err:
+        boundary_data(ball, p)
+    assert err.value.worst_node == 2
+    assert err.value.worst_value == 3.0
+    flat_at = DefiningFunction(
+        n=2, rho=ball.rho, hess=ball.hess,
+        grad=lambda q: ball.grad(q) * (np.arange(len(q)) != 1)[:, None],
+    )
+    with pytest.raises(DegenerateBoundaryError, match="at node 1"):
+        boundary_data(flat_at, p[:2])
+
+
+# ---------------------------------------------------------------------------
+# batched PolynomialRho against the per-monomial loops it replaced
+
+
+def _loop_value(terms, p):
+    total = 0.0
+    for ex, c in terms:
+        v = c
+        for i, e in enumerate(ex):
+            if e:
+                v *= p[i] ** e
+        total += v
+    return total
+
+
+def _loop_gradient(terms, p):
+    g = np.zeros(p.size)
+    for ex, c in terms:
+        for i, e in enumerate(ex):
+            if not e:
+                continue
+            v = c * e
+            for jj, ee in enumerate(ex):
+                pw = ee - 1 if jj == i else ee
+                if pw:
+                    v *= p[jj] ** pw
+            g[i] += v
+    return g
+
+
+def _loop_hessian(terms, p):
+    hess = np.zeros((p.size, p.size))
+    for ex, c in terms:
+        for i, ei in enumerate(ex):
+            if not ei:
+                continue
+            for j, ej in enumerate(ex):
+                if i == j:
+                    if ei < 2:
+                        continue
+                    v = c * ei * (ei - 1)
+                    for kk, ee in enumerate(ex):
+                        pw = ee - 2 if kk == i else ee
+                        if pw:
+                            v *= p[kk] ** pw
+                    hess[i, j] += v
+                else:
+                    if not ej:
+                        continue
+                    v = c * ei * ej
+                    for kk, ee in enumerate(ex):
+                        pw = ee
+                        if kk == i or kk == j:
+                            pw -= 1
+                        if pw:
+                            v *= p[kk] ** pw
+                    hess[i, j] += v
+    return hess
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_polynomial_rho_matches_loops(data):
+    n = data.draw(st.integers(1, 3))
+    m = 2 * n
+    exps = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    coefs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = data.draw(st.lists(st.tuples(exps, coefs), min_size=1, max_size=8))
+    coord = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    pts = np.array(data.draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                                      min_size=1, max_size=6)))
+    rho = PolynomialRho(n, terms)
+    abs_terms = [(ex, abs(c)) for ex, c in rho.terms]
+    for loop, got in ((_loop_value, rho(pts)), (_loop_gradient, rho.gradient(pts)),
+                      (_loop_hessian, rho.hessian(pts))):
+        want = np.array([loop(rho.terms, p) for p in pts])
+        # sum of |term| bounds the rounding of either evaluation order;
+        # below the smallest normal float only absolute accuracy is left
+        scale = np.array([loop(abs_terms, np.abs(p)) for p in pts])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + np.finfo(float).tiny)
+    p = pts[0]
+    assert np.shape(rho(p)) == ()
+    assert rho.gradient(p).shape == (m,)
+    assert rho.hessian(p).shape == (m, m)
+    assert rho.hessian(np.stack([pts, pts])).shape == (2, len(pts), m, m)
 
 
 # ---------------------------------------------------------------------------

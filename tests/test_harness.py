@@ -208,6 +208,20 @@ def test_cli_overflowing_map_is_an_error(tmp_path, capsys, out):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_cli_index_refuses_off_surface_map(tmp_path, capsys):
+    # the boundary image of f2 is off the sphere: an error, not a spectrum
+    out_dir = tmp_path / "run"
+    code = main(["index", "--map", "f2", "--domain", "ball4", "--grid", "32,64",
+                 "--basis-size", "20", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert not (out_dir / "report.json").exists()
+
+
 def test_cli_grid_flag(capsys):
     assert main(["energy", "--map", "f2", "--grid", "16,32"]) == 0
     doc = json.loads(capsys.readouterr().out)

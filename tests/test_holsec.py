@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbardisk import secondvar as sv
+from dbardisk.diskmap import DiskGrid, DiskMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
 from dbardisk.geometry import hermitian
 from dbardisk.holsec import (
@@ -172,3 +173,22 @@ def test_pairing_coefficients_holomorphic(grid, maps, ball, synthetic_c3):
     dom, f = synthetic_c3
     us = build_U(build_frame(f, dom), f)
     assert us.dbar_coefficient_sup < 1e-8
+
+
+def test_certify_sampled_map_on_a_fine_grid(ball):
+    # spectral noise at the centre and the rim stays out of the dbar check
+    f = make_map("f3", DiskGrid(128, 256)).rotated(37)
+    cert = certify_index(f, ball)
+    assert abs(cert.values[0] + 4.0 * np.pi) < 1e-8
+    assert cert.diagnostics["pairing_dbar_sup"] < 1e-8
+
+
+def test_dbar_check_sees_a_non_harmonic_perturbation(ball):
+    grid = DiskGrid(128, 256)
+    f = make_map("f3", grid).rotated(37)
+    values = f.values.copy()
+    values[..., 0] += 1e-6 * grid.r[:, None] ** 2
+    boundary = f.boundary.copy()
+    boundary[:, 0] += 1e-6
+    g = DiskMap(grid, 2, values, boundary, analytic=None)
+    assert build_U(build_frame(g, ball), g).dbar_coefficient_sup > 1e-8

@@ -8,10 +8,11 @@ from dbardisk.diskmap import DBAR_RAW_FACTOR, DiskGrid, DiskMap, make_map
 from dbardisk.errors import (
     AdmissibilityError,
     ConstraintViolationError,
+    DegenerateBoundaryError,
     EmptyBasisError,
     InvalidVariationError,
 )
-from dbardisk.geometry import make_domain
+from dbardisk.geometry import DefiningFunction, make_domain
 
 
 def _const_field(grid, vec, label="const"):
@@ -24,6 +25,25 @@ def _bump_field(grid, vec):
     prof = np.polynomial.Polynomial([0.0, 0.0, 1.0, 0.0, -1.0])
     ang = np.broadcast_to(np.asarray(vec, dtype=float), (grid.n_theta, 4)).copy()
     return sv.VariationField.separable(grid, 2, prof, ang, label="bump")
+
+
+# ---------------------------------------------------------------------------
+# boundary state
+
+
+def test_boundary_state_refuses_off_surface_maps(maps, ball):
+    # f2 sends the rim to |z| = 1 in one coordinate only: rho = -1 there
+    with pytest.raises(ConstraintViolationError) as err:
+        sv.boundary_state(maps["f2"], ball)
+    assert err.value.worst_node is not None
+    assert abs(err.value.worst_value) > 0.5
+
+
+def test_boundary_state_refuses_degenerate_gradients(maps, ball):
+    flat = DefiningFunction(n=2, rho=ball.rho, hess=ball.hess,
+                            grad=lambda p: np.zeros(np.shape(p)))
+    with pytest.raises(DegenerateBoundaryError):
+        sv.boundary_state(maps["f3"], flat)
 
 
 # ---------------------------------------------------------------------------
