@@ -49,9 +49,7 @@ from .secondvar import (  # noqa: F401
 )
 from .holsec import (  # noqa: F401
     Certificate,
-    HolomorphicFrame,
     build_U,
-    build_frame,
     certify_index,
     dbar_kernel_dimension,
 )

@@ -121,15 +121,6 @@ class DiskGrid:
         stacked = np.concatenate([values, trace[None]], axis=0)
         return np.tensordot(self._d1_row, stacked, axes=(0, 0))
 
-    def cartesian_from_polar(self, fr: np.ndarray, ft: np.ndarray):
-        """(f_r, f_theta) on the grid -> (f_x, f_y) by the polar chain rule."""
-        if np.isrealobj(fr) and np.isrealobj(ft):
-            return _kernels.polar_to_cartesian(fr, ft, self.inv_r, self.cos_t, self.sin_t)
-        c = self.cos_t[None, :, None]
-        s = self.sin_t[None, :, None]
-        tor = ft * self.inv_r[:, None, None]
-        return c * fr - s * tor, s * fr + c * tor
-
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """f_rr + f_r / r + f_tt / r^2 on the grid."""
         fr = self.radial_derivative(values)
@@ -327,7 +318,7 @@ def derivatives(f: DiskMap) -> Derivatives:
     else:
         fr = grid.radial_derivative(f.values)
         ft = grid.theta_derivative(f.values)
-        fx, fy = grid.cartesian_from_polar(fr, ft)
+        fx, fy = _kernels.polar_to_cartesian(fr, ft, grid.inv_r, grid.cos_t, grid.sin_t)
         b_fr = grid.boundary_radial_derivative(f.values, f.boundary)
         b_ft = grid.theta_derivative(f.boundary, axis=0)
         cos_t = grid.cos_t[:, None]
@@ -420,11 +411,15 @@ def make_map(spec, grid: DiskGrid) -> DiskMap:
         n, coords = MAP_CATALOG[spec]
         return DiskMap.from_polynomial(PolynomialMap(n, coords), grid, name=spec)
     if isinstance(spec, dict):
-        n = int(spec["n"])
-        coords = [
-            [(t["zp"], t["zq"], t.get("re", 0.0) + 1j * t.get("im", 0.0)) for t in coord]
-            for coord in spec["coords"]
-        ]
+        try:
+            n = int(spec["n"])
+            coords = [
+                [(int(t["zp"]), int(t["zq"]),
+                  float(t.get("re", 0.0)) + 1j * float(t.get("im", 0.0))) for t in coord]
+                for coord in spec["coords"]
+            ]
+        except TypeError as exc:
+            raise ValueError(f"malformed map spec: {exc}") from None
         return DiskMap.from_polynomial(
             PolynomialMap(n, coords), grid, name=spec.get("name", "custom")
         )

@@ -257,8 +257,12 @@ def make_domain(spec) -> DefiningFunction:
         n, builder = DOMAIN_CATALOG[spec]
         return PolynomialRho(n, builder()).defining_function(name=spec)
     if isinstance(spec, dict):
-        n = int(spec["n"])
-        terms = [(t["exponents"], t["coef"]) for t in spec["terms"]]
+        try:
+            n = int(spec["n"])
+            terms = [([int(e) for e in t["exponents"]], float(t["coef"]))
+                     for t in spec["terms"]]
+        except TypeError as exc:
+            raise ValueError(f"malformed domain spec: {exc}") from None
         return PolynomialRho(n, terms).defining_function(name=spec.get("name", "custom"))
     raise TypeError(f"cannot build a domain from {type(spec).__name__}")
 

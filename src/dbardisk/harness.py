@@ -48,6 +48,15 @@ SCHEMA_VERSION = 1
 ACTIONS = ("energy", "critical", "index", "certify", "levi", "f4_family", "cutoff")
 
 
+def _require_number(name, value, integer=False):
+    """Raise ValueError unless value is an integer (integer=True) or a
+    finite real number; a bool is neither."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) < np.inf:
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """Declarative description of one scenario run."""
@@ -68,8 +77,23 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.action not in ACTIONS:
             raise ValueError(f"unknown action {self.action!r}; one of {ACTIONS}")
-        nr, nt = self.grid
-        self.grid = (int(nr), int(nt))
+        if not isinstance(self.grid, (list, tuple)) or len(self.grid) != 2:
+            raise ValueError(f"grid must be [n_r, n_theta], got {self.grid!r}")
+        if not isinstance(self.eps_list, (list, tuple)):
+            raise ValueError(f"eps_list must be a list, got {self.eps_list!r}")
+        for value in self.grid:
+            _require_number("grid entry", value, integer=True)
+        for name in ("basis_size", "k", "seed"):
+            _require_number(name, getattr(self, name), integer=True)
+        _require_number("h", self.h)
+        for eps in self.eps_list:
+            _require_number("eps_list entry", eps)
+        self.grid = tuple(int(v) for v in self.grid)
+        self.eps_list = tuple(self.eps_list)
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
+        for key, value in self.tolerances.items():
+            _require_number(f"tolerance {key}", value)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -77,11 +101,6 @@ class ScenarioConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "grid" in d:
-            d["grid"] = tuple(d["grid"])
-        if "eps_list" in d:
-            d["eps_list"] = tuple(d["eps_list"])
         return cls(**d)
 
     def to_json_dict(self):

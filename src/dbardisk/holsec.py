@@ -6,11 +6,13 @@ In the flat trivialization the kernel of the boundary problem
 
 consists of the real constant sections: dimension 2n over R, which
 ``dbar_kernel_dimension`` recovers numerically as the SVD null space of the
-discretized operator. From the standard frame one builds the (1,0)
-sections V_j = e_{x_j} - i e_{y_j}; pairing them against f_zbar gives
-holomorphic coefficient functions (f harmonic), and the combinations
+discretized operator. The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
+need no frame object: pairing them against f_zbar gives holomorphic
+coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked with
+d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 in polar coordinates,
+and the combinations
 
-    U_j = <<V_k, f_zbar>> V_j - <<V_j, f_zbar>> V_k     (j != k)
+    U_j = c_k V_j - c_j V_k     (j != k)
 
 are admissible holomorphic (1,0) sections orthogonal to f_zbar. Their
 index-form values reduce to boundary integrals of -lambda times the Levi
@@ -21,7 +23,7 @@ under strict k-pseudoconvexity via subset sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,11 +45,9 @@ from .secondvar import (
 )
 
 __all__ = [
-    "HolomorphicFrame",
     "USections",
     "Certificate",
     "dbar_kernel_dimension",
-    "build_frame",
     "build_U",
     "certify_index",
 ]
@@ -145,56 +145,7 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# frames and the U sections
-
-
-@dataclass
-class HolomorphicFrame:
-    """Flat-case kernel frame: real constants and the (1,0) combinations."""
-
-    n: int
-    W: list                      # 2n constant real sections (VariationField)
-    selected: list               # indices i_1..i_n with {W, JW} orthonormal
-    V: list                      # V_j = W_{i_j} - i J W_{i_j}
-    gram_error: float = 0.0      # deviation of the {W, JW} Gram from identity
-    pairing_variation: float = 0.0  # sup variation of (W_i, W_j) over the disk
-
-
-def build_frame(f: DiskMap, df: DefiningFunction) -> HolomorphicFrame:
-    """Standard-basis frame; in the flat trivialization the selection
-    {e_{x_j}} already makes {W_{i_j}, J W_{i_j}} orthonormal on dD."""
-    n = f.n
-    grid = f.grid
-    dim = 2 * n
-    W = []
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        W.append(VariationField.constant(grid, n, e, label=f"W{c}"))
-    selected = list(range(n))
-    V = []
-    for j in selected:
-        vec = np.zeros(dim, dtype=complex)
-        vec[j] = 1.0
-        vec[n + j] = -1.0j
-        V.append(VariationField.constant(grid, n, vec, label=f"V{j}"))
-    # verify orthonormality of {W_sel, J W_sel} on the boundary
-    frame = []
-    for j in selected:
-        frame.append(W[j].boundary[0])
-        e = np.zeros(dim)
-        e[n + j] = 1.0
-        frame.append(e)
-    gram = np.array([[u @ v for v in frame] for u in frame])
-    gram_error = float(np.max(np.abs(gram - np.eye(dim))))
-    # (W_i, W_j) is constant over the disk for constant sections
-    pair_var = 0.0
-    for wi in W:
-        for wj in W:
-            pairing = hermitian(wi.values, wj.values)
-            pair_var = max(pair_var, float(np.max(np.abs(pairing - pairing.flat[0]))))
-    return HolomorphicFrame(n=n, W=W, selected=selected, V=V,
-                            gram_error=gram_error, pairing_variation=pair_var)
+# the U sections
 
 
 @dataclass
@@ -203,17 +154,19 @@ class USections:
 
     sections: list               # n-1 complex VariationFields
     pivot: int
-    coefficients: np.ndarray = field(repr=False)  # (n_r, n_theta, n) complex
     dbar_coefficient_sup: float = 0.0
     orthogonality_sup: float = 0.0
     min_boundary_norm: float = 0.0
 
 
-def build_U(frame: HolomorphicFrame, f: DiskMap, tol_holo: float = 1e-8) -> USections:
-    """Pivoted combinations of the frame sections orthogonal to f_zbar.
+def build_U(f: DiskMap, tol_holo: float = 1e-8) -> USections:
+    """The sections U_j = c_p V_j - c_j V_p (j != p) orthogonal to f_zbar.
 
-    Refuses when the map is holomorphic (sup dbar-energy density below
-    tol_holo): the instability certificate would be vacuous.
+    V_j = e_{x_j} - i e_{y_j} are the constant (1,0) vectors and
+    c_j = <<V_j, f_zbar>> the pairing coefficients; the pivot p is the
+    coefficient with the largest sup. Refuses when the map is holomorphic
+    (sup dbar-energy density below tol_holo): the instability certificate
+    would be vacuous.
     """
     grid = f.grid
     n = f.n
@@ -232,43 +185,35 @@ def build_U(frame: HolomorphicFrame, f: DiskMap, tol_holo: float = 1e-8) -> USec
     sups = np.max(np.abs(coeff.reshape(-1, n)), axis=0)
     pivot = int(np.argmax(sups))
     if sups[pivot] < 1e-14:
-        raise DegeneratePivotError("all frame pairings vanish identically")
+        raise DegeneratePivotError("all pairing coefficients vanish identically")
     # each coefficient must be holomorphic (f harmonic). dbar c_j is
     # conj(Laplacian f_j) / 4, so the sup is taken on the annulus that
-    # harmonic_residual uses, away from the noise at the centre and the rim
+    # harmonic_residual uses, away from the noise at the centre and the rim.
+    # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 and |e^{i theta}| = 1
     cr = grid.radial_derivative(coeff)
     ct = grid.theta_derivative(coeff)
-    cx, cy = grid.cartesian_from_polar(cr, ct)
-    dbar_c = 0.5 * (cx + 1j * cy)
+    dbar_c = 0.5 * np.abs(cr + 1j * ct * grid.inv_r[:, None, None])
     annulus = (grid.r >= INNER_RADIUS) & (grid.r <= INTERIOR_RADIUS)
-    dbar_sup = float(np.max(np.abs(dbar_c[annulus])))
+    dbar_sup = float(np.max(dbar_c[annulus]))
 
-    sections = []
-    orth_sup = 0.0
-    min_bnorm = np.inf
-    for j in range(n):
-        if j == pivot:
-            continue
-        vals = (
-            coeff[..., pivot, None] * frame.V[j].values
-            - coeff[..., j, None] * frame.V[pivot].values
-        )
-        bvals = (
-            coeff_b[..., pivot, None] * frame.V[j].boundary
-            - coeff_b[..., j, None] * frame.V[pivot].boundary
-        )
-        U = VariationField(grid, n, vals, bvals, label=f"U{j}")
-        orth = float(np.max(np.abs(hermitian(bvals, g_b))))
-        orth_sup = max(orth_sup, orth)
-        min_bnorm = min(min_bnorm, float(np.min(np.linalg.norm(bvals, axis=-1))))
-        sections.append(U)
+    vec = np.hstack([np.eye(n), -1j * np.eye(n)])      # row j is V_j
+    others = [j for j in range(n) if j != pivot]
+
+    def combine(c):
+        """U_j = c_p V_j - c_j V_p for coefficients (..., n): (n - 1, ..., 2n)."""
+        c = np.moveaxis(c, -1, 0)[..., None]
+        v = vec[others].reshape((len(others),) + (1,) * (c.ndim - 2) + (2 * n,))
+        return c[pivot] * v - c[others] * vec[pivot]
+
+    vals, bvals = combine(coeff), combine(coeff_b)
+    sections = [VariationField(grid, n, vals[i], bvals[i], label=f"U{j}")
+                for i, j in enumerate(others)]
     return USections(
         sections=sections,
         pivot=pivot,
-        coefficients=coeff,
         dbar_coefficient_sup=dbar_sup,
-        orthogonality_sup=orth_sup,
-        min_boundary_norm=min_bnorm,
+        orthogonality_sup=float(np.max(np.abs(hermitian(bvals, g_b)), initial=0.0)),
+        min_boundary_norm=float(np.min(np.linalg.norm(bvals, axis=-1), initial=np.inf)),
     )
 
 
@@ -332,8 +277,7 @@ def certify_index(f: DiskMap, df: DefiningFunction, k: int = 1, *,
             f"boundary image (classified {classification.classification}, "
             f"margin {classification.margin:.3e})"
         )
-    frame = build_frame(f, df)
-    us = build_U(frame, f, tol_holo=tol_holo)
+    us = build_U(f, tol_holo=tol_holo)
     if us.dbar_coefficient_sup > 1e-8:
         raise Refusal(
             "holomorphic pairing coefficients fail the dbar check "

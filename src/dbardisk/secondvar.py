@@ -128,16 +128,12 @@ class VariationField:
             angular=self.angular,
         )
 
-    def gradients(self, polar=False):
-        """(V_x, V_y), or with polar=True (V_r, V_theta / r).
-
-        Both frames are orthonormal, so either gives <grad V, grad W>.
-        """
+    def gradients(self):
+        """(V_r, V_theta / r): the gradient in the orthonormal polar frame,
+        so <grad V, grad W> = <V_r, W_r> + <V_theta, W_theta> / r^2."""
         fr = self.grid.radial_derivative(self.values)
         ft = self.grid.theta_derivative(self.values)
-        if polar:
-            return fr, ft * self.grid.inv_r[:, None, None]
-        return self.grid.cartesian_from_polar(fr, ft)
+        return fr, ft * self.grid.inv_r[:, None, None]
 
     @property
     def real_part(self):
@@ -248,9 +244,9 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
             _require_admissible(Vb, f, df, state, tol_adm)
     W = V if diagonal else Vb
 
-    vx, vy = V.gradients()
-    wx, wy = (vx, vy) if diagonal else W.gradients()
-    interior = grid.integrate_disk(np.sum(vx * wx + vy * wy, axis=-1))
+    vr, vt = V.gradients()
+    wr, wt = (vr, vt) if diagonal else W.gradients()
+    interior = grid.integrate_disk(np.sum(vr * wr + vt * wt, axis=-1))
 
     if diagonal and V.acceleration is not None:
         accn = V.acceleration
@@ -289,12 +285,10 @@ def index_form_complex(f: DiskMap, df: DefiningFunction, V: VariationField, *,
                 f"(sup |<<V, f_zbar>>| = {chk.complex_sup:.3e})",
                 measured_sup=chk.complex_sup,
             )
-    vals = V.values.astype(complex)
-    fr = grid.radial_derivative(vals)
-    ft = grid.theta_derivative(vals)
-    vx, vy = grid.cartesian_from_polar(fr, ft)
-    dzbar = 0.5 * (vx + 1j * vy)
-    t_interior = 2.0 * grid.integrate_disk(np.sum(np.abs(dzbar) ** 2, axis=-1))
+    # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2, so
+    # 2 |dV/dzbar|^2 = |V_r + i V_theta / r|^2 / 2
+    vr, vt = V.gradients()
+    t_interior = 0.5 * grid.integrate_disk(np.sum(np.abs(vr + 1j * vt) ** 2, axis=-1))
 
     a = V.boundary.real
     b = V.boundary.imag
@@ -409,7 +403,7 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     else:
         grads = np.empty((m, 2, grid.n_r, grid.n_theta, 2 * f.n))
         for i, V in enumerate(basis):
-            grads[i, 0], grads[i, 1] = V.gradients(polar=True)
+            grads[i, 0], grads[i, 1] = V.gradients()
         interior = _kernels.gram_interior(grads, grid.w_disk)
 
     # acceleration block: -sum_m w lam/|grad| (V_i . Hess . V_j)
@@ -589,17 +583,6 @@ def random_polar_poly(rng, kmax: int = 2, extra: int = 2, scale: float = 0.5,
     return poly.times_one_minus_r2() if rim_zero else poly
 
 
-def _cartesian_gradient(poly: PolarPoly, grid: DiskGrid):
-    r = grid.r[:, None]
-    t = grid.theta[None, :]
-    fr = poly.d_r()(r, t)
-    ft = poly.d_theta()(r, t)
-    c = grid.cos_t[None, :]
-    s = grid.sin_t[None, :]
-    tor = ft / grid.r[:, None]
-    return c * fr - s * tor, s * fr + c * tor
-
-
 # ---------------------------------------------------------------------------
 # the explicit deformation family of the catalog map f4
 
@@ -689,7 +672,9 @@ def f4_closed_forms(sigma, phi, psi, eta, grid: DiskGrid):
 
     (the -8 sigma phi_t term integrates by parts into the cross terms;
     ``after`` is manifestly a sum of squares). Both are in the raw
-    convention, i.e. 4x the module E'' convention.
+    convention, i.e. 4x the module E'' convention. The two flat terms are
+    16 |d(psi - i eta)/dzbar|^2, evaluated in the polar frame as
+    4 (psi_r + eta_theta / r)^2 + 4 (psi_theta / r - eta_r)^2.
     """
     r = grid.r[:, None]
     t = grid.theta[None, :]
@@ -698,10 +683,12 @@ def f4_closed_forms(sigma, phi, psi, eta, grid: DiskGrid):
     sig_t = sigma.d_theta()(r, t)
     phi_r = phi.d_r()(r, t)
     phi_t = phi.d_theta()(r, t)
-    psi_x, psi_y = _cartesian_gradient(psi, grid)
-    eta_x, eta_y = _cartesian_gradient(eta, grid)
+    psi_r = psi.d_r()(r, t)
+    psi_t = psi.d_theta()(r, t) / r
+    eta_r = eta.d_r()(r, t)
+    eta_t = eta.d_theta()(r, t) / r
 
-    flat = 4.0 * (psi_x + eta_y) ** 2 + 4.0 * (eta_x - psi_y) ** 2
+    flat = 4.0 * (psi_r + eta_t) ** 2 + 4.0 * (psi_t - eta_r) ** 2
     before = grid.integrate_disk(
         -8.0 * sig * phi_t + (r * phi_r + sig_t) ** 2 + (r * sig_r - phi_t) ** 2 + flat
     )

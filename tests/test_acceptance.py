@@ -22,7 +22,7 @@ from dbardisk.diskmap import (
 )
 from dbardisk.geometry import classify_pseudoconvexity, complex_hessian, make_domain
 from dbardisk.harness import ScenarioConfig, emit, run
-from dbardisk.holsec import build_U, build_frame, certify_index, dbar_kernel_dimension
+from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
 from dbardisk.criticality import is_critical
 
 from conftest import SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP
@@ -105,7 +105,7 @@ def test_criterion_04_main_theorem_certificate(grid, ball):
         assert cert.values[0] < -0.1
         assert abs(cert.values[0] - GOLDEN_BALL_CERT) < 1e-8
         assert cert.certified_bound == 1
-        us = build_U(build_frame(f3, ball), f3)
+        us = build_U(f3)
         fields = [us.sections[0].real_part, us.sections[0].imag_part]
         fields += sv.interior_bumps(grid, 2, 20)
         gs = sv.assemble_gram(f3, ball, fields)

@@ -222,6 +222,48 @@ def test_cli_index_refuses_off_surface_map(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+F3_TERM = {"zp": 0, "zq": 1, "re": 1.0}
+MALFORMED_CONFIGS = {
+    "tolerance-string": {"action": "certify", "map": "f3", "domain": "ball4",
+                         "tolerances": {"tol_pc": "x"}},
+    "tolerance-bool": {"action": "certify", "map": "f3", "domain": "ball4",
+                       "tolerances": {"tol_holo": True}},
+    "tolerance-nan": {"action": "certify", "map": "f3", "domain": "ball4",
+                      "tolerances": {"tol_h": float("nan")}},
+    "k-string": {"action": "levi", "map": "f3", "domain": "ball4", "k": "2"},
+    "k-bool": {"action": "levi", "map": "f3", "domain": "ball4", "k": True},
+    "basis-size-float": {"action": "index", "map": "f3", "domain": "ball4",
+                         "basis_size": 20.5},
+    "seed-string": {"action": "f4_family", "seed": "7"},
+    "h-string": {"action": "f4_family", "h": "x"},
+    "grid-number": {"action": "energy", "map": "f1", "grid": 5},
+    "grid-null-entry": {"action": "energy", "map": "f1", "grid": [32, None]},
+    "eps-number": {"action": "cutoff", "eps_list": 0.1},
+    "eps-string": {"action": "cutoff", "map": "f4", "domain": "weak_rank_one",
+                   "eps_list": ["x"]},
+    "map-re-nan-string": {"action": "energy", "map": {"n": 2, "coords": [
+        [{"zp": 0, "zq": 1, "re": "nan"}], []]}},
+    "map-re-null": {"action": "energy", "map": {"n": 2, "coords": [
+        [{"zp": 0, "zq": 1, "re": None}], []]}},
+    "domain-coef-null": {"action": "levi", "map": {"n": 2, "coords": [[F3_TERM], []]},
+                         "domain": {"n": 2, "terms": [{"exponents": [2, 0, 0, 0],
+                                                       "coef": None}]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_cli_malformed_values_are_errors(name, tmp_path, capsys):
+    cfg = dict(MALFORMED_CONFIGS[name])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if k != "action"}))
+    code = main([cfg["action"].replace("_", "-"), "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
 def test_cli_grid_flag(capsys):
     assert main(["energy", "--map", "f2", "--grid", "16,32"]) == 0
     doc = json.loads(capsys.readouterr().out)

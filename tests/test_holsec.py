@@ -4,13 +4,8 @@ import pytest
 from dbardisk import secondvar as sv
 from dbardisk.diskmap import DiskGrid, DiskMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
-from dbardisk.geometry import hermitian
-from dbardisk.holsec import (
-    build_U,
-    build_frame,
-    certify_index,
-    dbar_kernel_dimension,
-)
+from dbardisk.geometry import apply_j, hermitian
+from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -52,41 +47,40 @@ def test_kernel_singular_value_gap():
 
 
 # ---------------------------------------------------------------------------
-# frame and U sections
+# U sections
 
 
-def test_frame_invariants(grid, maps, ball):
-    frame = build_frame(maps["f3"], ball)
-    assert frame.gram_error < 1e-12
-    assert frame.pairing_variation < 1e-12
-    assert len(frame.W) == 4
-    assert len(frame.V) == 2
-    for V in frame.V:
-        norms = np.linalg.norm(V.values, axis=-1)
-        assert np.min(norms) > 0.9
+@pytest.mark.parametrize("case", ["f3-ball4", "synthetic-c3"])
+def test_sections_are_type_10(case, maps, synthetic_c3):
+    # U_j is a combination of the constant vectors V_j = e_{x_j} - i e_{y_j},
+    # so J U_j = i U_j holds exactly on the grid and on the boundary
+    f = maps["f3"] if case == "f3-ball4" else synthetic_c3[1]
+    us = build_U(f)
+    assert len(us.sections) == f.n - 1
+    for U in us.sections:
+        assert np.array_equal(apply_j(U.values), 1j * U.values)
+        assert np.array_equal(apply_j(U.boundary), 1j * U.boundary)
 
 
-def test_build_u_f3(grid, maps, ball):
-    frame = build_frame(maps["f3"], ball)
-    us = build_U(frame, maps["f3"])
+def test_build_u_f3(maps):
+    us = build_U(maps["f3"])
     assert us.pivot == 0  # f_zbar of f3 points along the z1 direction
     assert len(us.sections) == 1
-    # the single section is the z2-direction (1,0) frame vector
+    # the single section is the z2-direction (1,0) vector
     g = maps["f3"].derivatives().boundary_f_zbar
     assert np.max(np.abs(hermitian(us.sections[0].boundary, g))) < 1e-10
     assert us.dbar_coefficient_sup < 1e-8
     assert us.min_boundary_norm > 1.0
 
 
-def test_build_u_refuses_holomorphic(grid, maps, cylinder):
-    frame = build_frame(maps["f2"], cylinder)
+def test_build_u_refuses_holomorphic(maps):
     with pytest.raises(VacuousCertificateError):
-        build_U(frame, maps["f2"])
+        build_U(maps["f2"])
 
 
 def test_build_u_sections_independent(synthetic_c3):
     dom, f = synthetic_c3
-    us = build_U(build_frame(f, dom), f)
+    us = build_U(f)
     assert len(us.sections) == 2
     # stack boundary values at a few nodes: the sections span rank n-1
     for m in (0, 7, 31):
@@ -115,7 +109,7 @@ def test_certificate_value_matches_fd_oracle(grid, maps, ball):
     # I(U, U) = I(Re U, Re U) + I(Im U, Im U); both sides measured by the
     # finite-difference oracle along hypersurface families
     cert = certify_index(maps["f3"], ball, k=1)
-    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    us = build_U(maps["f3"])
     total = 0.0
     for part in (us.sections[0].real_part, us.sections[0].imag_part):
         fam = sv.hypersurface_family(maps["f3"], part, ball)
@@ -152,7 +146,7 @@ def test_certificate_synthetic_c3_kpc(synthetic_c3):
 
 def test_certificate_consistent_with_gram(grid, maps, ball):
     cert = certify_index(maps["f3"], ball, k=1)
-    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    us = build_U(maps["f3"])
     fields = [us.sections[0].real_part, us.sections[0].imag_part]
     fields += sv.interior_bumps(grid, 2, 12)
     gs = sv.assemble_gram(maps["f3"], ball, fields)
@@ -166,12 +160,29 @@ def test_certificate_complex_real_identity(synthetic_c3):
         assert abs(value - (rr + ri)) < 1e-6 * max(1.0, abs(value))
 
 
-def test_pairing_coefficients_holomorphic(grid, maps, ball, synthetic_c3):
+@pytest.mark.parametrize("phi", [lambda r: r**2, lambda r: 2.0 - r**2],
+                         ids=["r2", "2-r2"])
+def test_complex_index_form_interior_term(grid, maps, ball, phi):
+    # phi U keeps the boundary of U (phi(1) = 1) but has a nonzero dbar:
+    # 1/2 int |(phi U)_r + i (phi U)_theta / r|^2 = 1/2 int 4 r^2 |U|^2 = 2 pi
+    # moves the value from -4 pi to -2 pi, and the Hermitian form must still
+    # split into the real forms of the real and imaginary parts
+    U = build_U(maps["f3"]).sections[0]
+    W = sv.VariationField(grid, 2, phi(grid.r)[:, None, None] * U.values,
+                          U.boundary.copy(), label="phi-U")
+    value = sv.index_form_complex(maps["f3"], ball, W)
+    split = (sv.index_form_real(maps["f3"], ball, W.real_part)
+             + sv.index_form_real(maps["f3"], ball, W.imag_part))
+    assert abs(value - split) <= 1e-10 * abs(value)
+    assert abs(value + 2.0 * np.pi) < 1e-8
+
+
+def test_pairing_coefficients_holomorphic(maps, synthetic_c3):
     # theta -> <<V_j, f_zbar>> extends holomorphically when f is harmonic
-    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    us = build_U(maps["f3"])
     assert us.dbar_coefficient_sup < 1e-8
     dom, f = synthetic_c3
-    us = build_U(build_frame(f, dom), f)
+    us = build_U(f)
     assert us.dbar_coefficient_sup < 1e-8
 
 
@@ -191,4 +202,4 @@ def test_dbar_check_sees_a_non_harmonic_perturbation(ball):
     boundary = f.boundary.copy()
     boundary[:, 0] += 1e-6
     g = DiskMap(grid, 2, values, boundary, analytic=None)
-    assert build_U(build_frame(g, ball), g).dbar_coefficient_sup > 1e-8
+    assert build_U(g).dbar_coefficient_sup > 1e-8

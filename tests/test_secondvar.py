@@ -72,9 +72,9 @@ def test_normal_field_is_inadmissible(grid, maps, ball):
 
 
 def test_holomorphic_section_complex_check(grid, maps, ball):
-    from dbardisk.holsec import build_U, build_frame
+    from dbardisk.holsec import build_U
 
-    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    us = build_U(maps["f3"])
     chk = sv.admissibility(us.sections[0], maps["f3"], ball)
     assert chk.complex_sup < 1e-9
     # the real part alone passes the complex criterion too (W = V - iJV
@@ -318,9 +318,9 @@ def test_gram_entries_match_index_form(gram_cases, case):
 
 
 def test_gram_generic_entries_match_index_form(grid, maps, ball):
-    from dbardisk.holsec import build_U, build_frame
+    from dbardisk.holsec import build_U
 
-    us = build_U(build_frame(maps["f3"], ball), maps["f3"])
+    us = build_U(maps["f3"])
     basis = [us.sections[0].real_part, us.sections[0].imag_part]
     basis += sv.interior_bumps(grid, 2, 6)
     g = sv.assemble_gram(maps["f3"], ball, basis).matrix
