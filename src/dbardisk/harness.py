@@ -47,6 +47,15 @@ SCHEMA_VERSION = 1
 
 ACTIONS = ("energy", "critical", "index", "certify", "levi", "f4_family", "cutoff")
 
+# the tolerance keywords each action passes on to the library, whose
+# defaults apply to those a config leaves out; other actions take none
+TOLERANCES = {
+    "critical": ("tol_h", "tol_b"),
+    "index": ("tol_neg_rel",),
+    "certify": ("tol_h", "tol_b", "tol_holo", "tol_pc"),
+    "levi": ("tol_pc",),
+}
+
 
 def _require_number(name, value, integer=False):
     """Raise ValueError unless value is an integer (integer=True) or a
@@ -86,14 +95,22 @@ class ScenarioConfig:
         for name in ("basis_size", "k", "seed"):
             _require_number(name, getattr(self, name), integer=True)
         _require_number("h", self.h)
+        if not 0.0 < self.h <= 1.0:
+            raise ValueError(f"h must lie in (0, 1], got {self.h!r}")
         for eps in self.eps_list:
             _require_number("eps_list entry", eps)
         self.grid = tuple(int(v) for v in self.grid)
         self.eps_list = tuple(self.eps_list)
         if not isinstance(self.tolerances, dict):
             raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
+        known = TOLERANCES.get(self.action, ())
         for key, value in self.tolerances.items():
+            if key not in known:
+                raise ValueError(f"action {self.action} takes no tolerance {key!r}; "
+                                 f"it takes {list(known)}")
             _require_number(f"tolerance {key}", value)
+            if not value > 0:
+                raise ValueError(f"tolerance {key} must be > 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -244,18 +261,14 @@ def run(config: ScenarioConfig) -> Report:
         rep = energies(_require(f, "map"))
         results["energy"] = rep.to_json_dict()
     elif action == "critical":
-        ok, rep = is_critical(
-            _require(f, "map"), _require(df, "domain"),
-            tol_h=tol.get("tol_h", 1e-7), tol_b=tol.get("tol_b", 1e-7),
-        )
+        ok, rep = is_critical(_require(f, "map"), _require(df, "domain"), **tol)
         results["criticality"] = rep.to_json_dict()
     elif action == "index":
         f = _require(f, "map")
         df = _require(df, "domain")
         basis = admissible_basis(f, df, config.basis_size)
         gram = assemble_gram(
-            f, df, basis,
-            tol_neg_rel=tol.get("tol_neg_rel", 1e-8),
+            f, df, basis, **tol,
             description=f"projected-frame+bumps size={config.basis_size} "
                         f"seed={config.seed}",
         )
@@ -263,16 +276,13 @@ def run(config: ScenarioConfig) -> Report:
         matrices["gram"] = (gram.labels, gram.matrix)
     elif action == "certify":
         cert = certify_index(
-            _require(f, "map"), _require(df, "domain"), k=config.k,
-            tol_holo=tol.get("tol_holo", 1e-8),
-            tol_pc=tol.get("tol_pc", 1e-9),
+            _require(f, "map"), _require(df, "domain"), k=config.k, **tol
         )
         results["certificate"] = cert.to_json_dict()
     elif action == "levi":
         f = _require(f, "map")
         rep = classify_pseudoconvexity(
-            _require(df, "domain"), f.boundary, k=config.k,
-            tol_pc=tol.get("tol_pc", 1e-9),
+            _require(df, "domain"), f.boundary, k=config.k, **tol
         )
         results["levi"] = rep.to_json_dict()
     elif action == "f4_family":

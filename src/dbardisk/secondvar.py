@@ -32,7 +32,7 @@ against lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -72,7 +72,11 @@ __all__ = [
 ]
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class VariationField:
     """A section of the pullback tangent bundle sampled on the grid.
 
@@ -81,52 +85,58 @@ class VariationField:
     None selects the hypersurface policy for the boundary term of the index
     form; an explicit (n_theta,) array gives <A, nu> directly.
 
-    profile/angular, when set, describe the field in separable closed form
-    values[i, j, :] = profile(r_i) * angular[j, :], which lets the cutoff
-    machinery evaluate the field on radii off the grid and Gram assembly
-    factor its interior block (after checking the factors against values).
+    A field built by ``separable`` or ``constant`` is stored only as its
+    factors, values[i, j, :] = profile(r_i) * angular[j, :]: values is
+    computed from them on first read, and values, angular and boundary are
+    read-only, so the field always equals its factors. The cutoff machinery
+    evaluates such a field on radii off the grid and Gram assembly factors
+    its interior block. A field built from samples has no factors
+    (profile and angular are None).
     """
 
-    grid: DiskGrid
-    n: int
-    values: np.ndarray
-    boundary: np.ndarray
-    acceleration: Optional[np.ndarray] = None
-    label: str = "field"
-    profile: Optional[np.polynomial.Polynomial] = None
-    angular: Optional[np.ndarray] = field(default=None, repr=False)
+    profile = None
+    angular = None
 
-    def __post_init__(self):
-        expect = (self.grid.n_r, self.grid.n_theta, 2 * self.n)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape}, expected {expect}")
+    def __init__(self, grid: DiskGrid, n: int, values: np.ndarray, boundary: np.ndarray,
+                 acceleration: Optional[np.ndarray] = None, label: str = "field"):
+        expect = (grid.n_r, grid.n_theta, 2 * n)
+        if values.shape != expect:
+            raise ValueError(f"values shape {values.shape}, expected {expect}")
+        self.grid, self.n, self._values, self.boundary = grid, n, values, boundary
+        self.acceleration, self.label = acceleration, label
 
     @classmethod
     def constant(cls, grid, n, vector, label="const"):
-        vector = np.asarray(vector)
-        values = np.broadcast_to(vector, (grid.n_r, grid.n_theta, 2 * n)).copy()
-        boundary = np.broadcast_to(vector, (grid.n_theta, 2 * n)).copy()
-        return cls(
-            grid, n, values, boundary, label=label,
-            profile=np.polynomial.Polynomial([1.0]), angular=boundary.copy(),
-        )
+        angular = np.broadcast_to(np.asarray(vector), (grid.n_theta, 2 * n))
+        return cls.separable(grid, n, np.polynomial.Polynomial([1.0]), angular, label)
 
     @classmethod
     def separable(cls, grid, n, profile, angular, label="separable"):
-        prof_r = profile(grid.r)
-        values = prof_r[:, None, None] * angular[None, :, :]
-        boundary = profile(1.0) * angular
-        return cls(grid, n, values, boundary, label=label, profile=profile,
-                   angular=np.asarray(angular))
+        angular, expect = _frozen(np.array(angular)), (grid.n_theta, 2 * n)
+        if angular.shape != expect:
+            raise ValueError(f"angular shape {angular.shape}, expected {expect}")
+        V = cls.__new__(cls)
+        V.grid, V.n, V._values, V.acceleration, V.label = grid, n, None, None, label
+        V.profile, V.angular = profile, angular
+        V.boundary = _frozen(profile(1.0) * angular)
+        return V
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            prof_r = self.profile(self.grid.r)
+            self._values = _frozen(prof_r[:, None, None] * self.angular[None, :, :])
+        return self._values
 
     def scaled(self, c):
-        return VariationField(
-            self.grid, self.n, c * self.values, c * self.boundary,
-            acceleration=None if self.acceleration is None else c**2 * self.acceleration,
-            label=f"{c}*{self.label}",
-            profile=None if self.profile is None else c * self.profile,
-            angular=self.angular,
-        )
+        """c V with acceleration c^2 A; a separable field keeps its factors."""
+        if self.profile is None:
+            W = VariationField(self.grid, self.n, c * self.values, c * self.boundary)
+        else:
+            W = VariationField.separable(self.grid, self.n, c * self.profile, self.angular)
+        W.label = f"{c}*{self.label}"
+        W.acceleration = None if self.acceleration is None else c**2 * self.acceleration
+        return W
 
     def gradients(self):
         """(V_r, V_theta / r): the gradient in the orthonormal polar frame,
@@ -236,7 +246,7 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
     state = state or boundary_state(f, df)
     grid = f.grid
     diagonal = Vb is None or Vb is V
-    if np.iscomplexobj(V.values) or (not diagonal and np.iscomplexobj(Vb.values)):
+    if np.iscomplexobj(V.boundary) or (not diagonal and np.iscomplexobj(Vb.boundary)):
         raise TypeError("index_form_real takes real fields; use index_form_complex")
     if check_admissibility:
         _require_admissible(V, f, df, state, tol_adm)
@@ -333,35 +343,16 @@ class GramSpectrum:
         }
 
 
-def _separable_factors(V: VariationField):
-    """(profile(r), angular) when V.values equals their product to 1e-12
-    relative, else None. values is a public array that may have changed
-    since construction, so the stored factors are checked, not trusted.
-    """
-    ang = V.angular
-    if V.profile is None or ang is None or np.iscomplexobj(ang):
-        return None
-    prof = np.asarray(V.profile(V.grid.r), dtype=float)
-    if prof.shape != V.values.shape[:1] or np.shape(ang) != V.values.shape[1:]:
-        return None
-    gap = prof[:, None, None] * ang
-    gap -= V.values
-    scale = max(V.values.max(), -V.values.min())
-    if not max(gap.max(), -gap.min()) <= 1e-12 * scale:
-        return None
-    return prof, ang
-
-
-def _separable_interior(grid: DiskGrid, factors) -> np.ndarray:
+def _separable_interior(grid: DiskGrid, basis) -> np.ndarray:
     """int_D <grad V_a, grad V_b> dx dy for fields V_a = p_a(r) A_a(theta).
 
     |grad V|^2 = |V_r|^2 + |V_theta|^2 / r^2, so the integral is
     w_theta (R1 o T1 + R2 o T2): radial Grams of p' (weight w_r r) and of p
     (weight w_r / r) times angular Grams of A and of A_theta, entrywise.
     """
-    m = len(factors)
-    p = np.array([prof for prof, _ in factors])
-    ang = np.array([a for _, a in factors])
+    m = len(basis)
+    p = np.array([V.profile(grid.r) for V in basis])
+    ang = np.array([V.angular for V in basis])
     dp = p @ grid._d_r.T
     ang_t = grid.theta_derivative(ang, axis=1).reshape(m, -1)
     ang = ang.reshape(m, -1)
@@ -378,16 +369,16 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
 
     negative_count uses the relative threshold tol_neg_rel * max |eigenvalue|;
     it certifies a lower bound for the Morse index (a finite basis can never
-    certify an upper bound). When every field is verified separable the
-    interior block comes from radial and angular factors; otherwise from
-    the polar-frame gradients of all fields.
+    certify an upper bound). When every field is separable the interior
+    block comes from radial and angular factors; otherwise from the
+    polar-frame gradients of all fields.
     """
     basis = list(basis)
     if not basis:
         raise EmptyBasisError("need at least one variation field")
     state = state or boundary_state(f, df)
     for V in basis:
-        if np.iscomplexobj(V.values):
+        if np.iscomplexobj(V.boundary):
             raise TypeError(
                 f"Gram basis must be real fields (got complex {V.label!r}); "
                 "split sections into real and imaginary parts"
@@ -397,9 +388,8 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     m = len(basis)
     grid = f.grid
     vb = np.array([V.boundary for V in basis], dtype=float)
-    factors = [_separable_factors(V) for V in basis]
-    if all(fac is not None for fac in factors):
-        interior = _separable_interior(grid, factors)
+    if all(V.profile is not None for V in basis):
+        interior = _separable_interior(grid, basis)
     else:
         grads = np.empty((m, 2, grid.n_r, grid.n_theta, 2 * f.n))
         for i, V in enumerate(basis):
@@ -564,10 +554,6 @@ class PolarPoly:
     def from_json(cls, spec) -> "PolarPoly":
         return cls([(t["rpow"], t["freq"], t.get("re", 0.0) + 1j * t.get("im", 0.0))
                     for t in spec["terms"]])
-
-    def to_json(self):
-        return {"terms": [{"rpow": p, "freq": k, "re": c.real, "im": c.imag}
-                          for (p, k, c) in self.terms]}
 
 
 def random_polar_poly(rng, kmax: int = 2, extra: int = 2, scale: float = 0.5,
@@ -785,7 +771,7 @@ def cutoff_stability_check(f: DiskMap, df: DefiningFunction, V: VariationField,
     I(V,V) - C (1/|ln eps| + eps/|ln eps|), where C is measured from
     sup |V| and sup |grad V|.
     """
-    if V.profile is None or V.angular is None:
+    if V.profile is None:
         raise InvalidVariationError("cutoff transfer needs a separable field")
     state = state or boundary_state(f, df)
     grid = f.grid

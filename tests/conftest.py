@@ -58,6 +58,27 @@ def synthetic_c3(grid):
     return make_domain(SYNTHETIC_C3_DOMAIN), make_map(SYNTHETIC_C3_MAP, grid)
 
 
+def ball_spec(n):
+    """|z|^2 - 1 on C^n."""
+    terms = [{"exponents": [2 if j == i else 0 for j in range(2 * n)], "coef": 1.0}
+             for i in range(2 * n)]
+    terms.append({"exponents": [0] * (2 * n), "coef": -1.0})
+    return {"n": n, "name": f"ball{2 * n}", "terms": terms}
+
+
+@pytest.fixture(scope="session")
+def conj_ball():
+    """(domain, map) builder: the anti-holomorphic disk z_1 = zbar in the
+    unit ball of C^n, sampled on a given grid."""
+
+    def build(n, grid):
+        spec = {"n": n, "name": f"conj_disk_c{n}",
+                "coords": [[{"zp": 0, "zq": 1, "re": 1.0}]] + [[]] * (n - 1)}
+        return make_domain(ball_spec(n)), make_map(spec, grid)
+
+    return build
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

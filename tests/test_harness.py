@@ -184,6 +184,20 @@ def test_cli_config_file_and_out(tmp_path, capsys):
     assert doc["results"]["certificate"]["certified_bound"] == 1
 
 
+def test_cli_certify_forwards_criticality_tolerances(tmp_path, capsys):
+    # the boundary residual of f3 is about 5e-16: above this tol_b, so the
+    # map is not critical and there is no certificate to give
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tolerances": {"tol_b": 1e-17}}))
+    argv = ["--config", str(cfg_path), "--map", "f3", "--domain", "ball4"]
+    assert main(["critical"] + argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["criticality"]["critical"] is False
+    assert main(["certify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("refusal:")
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -236,6 +250,14 @@ MALFORMED_CONFIGS = {
                          "basis_size": 20.5},
     "seed-string": {"action": "f4_family", "seed": "7"},
     "h-string": {"action": "f4_family", "h": "x"},
+    "h-zero": {"action": "f4_family", "h": 0},
+    "h-huge": {"action": "f4_family", "h": 1e300},
+    "tolerance-negative": {"action": "certify", "map": "f3", "domain": "ball4",
+                           "tolerances": {"tol_h": -1}},
+    "tolerance-unknown-key": {"action": "certify", "map": "f3", "domain": "ball4",
+                              "tolerances": {"tol_hh": 1}},
+    "tolerance-of-other-action": {"action": "index", "map": "f3", "domain": "ball4",
+                                  "tolerances": {"tol_pc": 1e-9}},
     "grid-number": {"action": "energy", "map": "f1", "grid": 5},
     "grid-null-entry": {"action": "energy", "map": "f1", "grid": [32, None]},
     "eps-number": {"action": "cutoff", "eps_list": 0.1},

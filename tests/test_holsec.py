@@ -144,13 +144,22 @@ def test_certificate_synthetic_c3_kpc(synthetic_c3):
     assert sum(cert.values) < 0
 
 
-def test_certificate_consistent_with_gram(grid, maps, ball):
-    cert = certify_index(maps["f3"], ball, k=1)
-    us = build_U(maps["f3"])
-    fields = [us.sections[0].real_part, us.sections[0].imag_part]
-    fields += sv.interior_bumps(grid, 2, 12)
-    gs = sv.assemble_gram(maps["f3"], ball, fields)
-    assert cert.certified_bound <= gs.negative_count
+@pytest.mark.parametrize("case", ["ball-c2", "ball-c3", "ball-c4", "synthetic-c3-k2"])
+def test_certificate_consistent_with_gram(grid, conj_ball, synthetic_c3, case):
+    # the paper's two routes to the Morse index: the bound certified from
+    # the sections U_j never exceeds the negative count of the Gram matrix
+    # over a basis holding their real and imaginary parts (sampled fields,
+    # so the factored fields beside them go through the generic path too)
+    if case == "synthetic-c3-k2":
+        (dom, f), k = synthetic_c3, 2
+    else:
+        (dom, f), k = conj_ball(int(case[-1]), grid), 1
+    cert = certify_index(f, dom, k=k)
+    fields = [part for U in build_U(f).sections for part in (U.real_part, U.imag_part)]
+    fields += sv.admissible_basis(f, dom, 20)
+    gs = sv.assemble_gram(f, dom, fields)
+    assert cert.certified_bound == f.n - k
+    assert gs.negative_count >= cert.certified_bound
 
 
 def test_certificate_complex_real_identity(synthetic_c3):

@@ -330,18 +330,51 @@ def test_gram_generic_entries_match_index_form(grid, maps, ball):
         assert abs(g[i, j] - direct) <= 1e-10 * scale, (i, j)
 
 
-def test_gram_stale_factors_take_generic_path(grid, maps, weak, monkeypatch):
+def test_separable_fields_are_read_only(grid):
+    V = _bump_field(grid, [1.0, 0.0, 0.0, 0.0])
+    for arr in (V.values, V.angular, V.boundary):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(AttributeError):
+        V.values = np.zeros_like(V.values)
+    # the factors are copied, so the caller's array stays its own
+    ang = np.ones((grid.n_theta, 4))
+    W = sv.VariationField.separable(grid, 2, np.polynomial.Polynomial([1.0]), ang)
+    ang[0] = 2.0
+    assert np.all(W.values == 1.0)
+
+
+def test_gram_sampled_field_takes_generic_path(grid, maps, weak, monkeypatch):
     basis = sv.admissible_basis(maps["f4"], weak, 20)
-    stale = basis[5]
-    # keep the field admissible (boundary untouched) but change the interior
-    stale.values[: grid.n_r // 2] *= 1.0 + 1e-9
-    assert sv._separable_factors(stale) is None
-    assert all(sv._separable_factors(V) is not None for V in basis[:5])
+    mixed = list(basis)
+    mixed[5] = _without_factors(basis[5:6])[0]
+    assert mixed[5].profile is None and mixed[5].angular is None
     calls = _count_generic(monkeypatch)
-    got = sv.assemble_gram(maps["f4"], weak, basis)
+    want = sv.assemble_gram(maps["f4"], weak, basis)
+    assert calls == []
+    got = sv.assemble_gram(maps["f4"], weak, mixed)
     assert calls == [1]
-    want = sv.assemble_gram(maps["f4"], weak, _without_factors(basis))
-    assert np.array_equal(got.matrix, want.matrix)
+    scale = np.max(np.abs(want.matrix))
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12 * scale
+    assert got.negative_count == want.negative_count
+
+
+def test_gram_scales_with_factors_only(conj_ball):
+    # 200 separable fields at 128x256 for n = 4: their values would take
+    # 419 MB, but the factored path never builds them
+    import tracemalloc
+
+    df, f = conj_ball(4, DiskGrid(128, 256))
+    tracemalloc.start()
+    try:
+        basis = sv.admissible_basis(f, df, 200)
+        gs = sv.assemble_gram(f, df, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs.matrix.shape == (200, 200)
+    assert gs.negative_count >= 3
+    assert peak < 100 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
