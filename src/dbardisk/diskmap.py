@@ -26,7 +26,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidVariationError, ResolutionError
+from .errors import (
+    InvalidVariationError,
+    ResolutionError,
+    require_number,
+    require_objects,
+)
 from .geometry import apply_j
 
 __all__ = [
@@ -411,16 +416,19 @@ def make_map(spec, grid: DiskGrid) -> DiskMap:
         n, coords = MAP_CATALOG[spec]
         return DiskMap.from_polynomial(PolynomialMap(n, coords), grid, name=spec)
     if isinstance(spec, dict):
-        try:
-            n = int(spec["n"])
-            coords = [
-                [(int(t["zp"]), int(t["zq"]),
-                  float(t.get("re", 0.0)) + 1j * float(t.get("im", 0.0))) for t in coord]
-                for coord in spec["coords"]
-            ]
-        except TypeError as exc:
-            raise ValueError(f"malformed map spec: {exc}") from None
+        n = require_number("map n", spec.get("n"), integer=True, minimum=1)
+        coords = spec.get("coords")
+        if not isinstance(coords, list):
+            raise ValueError(f"map coords must be a list, got {coords!r}")
+        coords = [
+            [(require_number("map zp", t.get("zp"), integer=True, minimum=0),
+              require_number("map zq", t.get("zq"), integer=True, minimum=0),
+              require_number("map re", t.get("re", 0.0))
+              + 1j * require_number("map im", t.get("im", 0.0)))
+             for t in require_objects("map coordinate", coord)]
+            for coord in coords
+        ]
         return DiskMap.from_polynomial(
             PolynomialMap(n, coords), grid, name=spec.get("name", "custom")
         )
-    raise TypeError(f"cannot build a map from {type(spec).__name__}")
+    raise ValueError(f"cannot build a map from {type(spec).__name__}")

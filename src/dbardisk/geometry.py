@@ -26,6 +26,8 @@ from .errors import (
     DegenerateBoundaryError,
     EvaluationError,
     InvalidSubspaceError,
+    require_number,
+    require_objects,
 )
 
 __all__ = [
@@ -257,14 +259,17 @@ def make_domain(spec) -> DefiningFunction:
         n, builder = DOMAIN_CATALOG[spec]
         return PolynomialRho(n, builder()).defining_function(name=spec)
     if isinstance(spec, dict):
-        try:
-            n = int(spec["n"])
-            terms = [([int(e) for e in t["exponents"]], float(t["coef"]))
-                     for t in spec["terms"]]
-        except TypeError as exc:
-            raise ValueError(f"malformed domain spec: {exc}") from None
+        n = require_number("domain n", spec.get("n"), integer=True, minimum=1)
+        terms = []
+        for t in require_objects("domain terms", spec.get("terms")):
+            exponents = t.get("exponents")
+            if not isinstance(exponents, list):
+                raise ValueError(f"domain exponents must be a list, got {exponents!r}")
+            terms.append(([require_number("domain exponent", e, integer=True, minimum=0)
+                           for e in exponents],
+                          require_number("domain coef", t.get("coef"))))
         return PolynomialRho(n, terms).defining_function(name=spec.get("name", "custom"))
-    raise TypeError(f"cannot build a domain from {type(spec).__name__}")
+    raise ValueError(f"cannot build a domain from {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .diskmap import (
     energies,
     make_map,
 )
-from .errors import DbarDiskError, NonFiniteValueError
+from .errors import DbarDiskError, NonFiniteValueError, require_number
 from .geometry import classify_pseudoconvexity, make_domain
 from .holsec import certify_index
 from .secondvar import (
@@ -57,15 +57,6 @@ TOLERANCES = {
 }
 
 
-def _require_number(name, value, integer=False):
-    """Raise ValueError unless value is an integer (integer=True) or a
-    finite real number; a bool is neither."""
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) < np.inf:
-        what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass
 class ScenarioConfig:
     """Declarative description of one scenario run."""
@@ -91,16 +82,18 @@ class ScenarioConfig:
         if not isinstance(self.eps_list, (list, tuple)):
             raise ValueError(f"eps_list must be a list, got {self.eps_list!r}")
         for value in self.grid:
-            _require_number("grid entry", value, integer=True)
+            require_number("grid entry", value, integer=True)
         for name in ("basis_size", "k", "seed"):
-            _require_number(name, getattr(self, name), integer=True)
-        _require_number("h", self.h)
+            require_number(name, getattr(self, name), integer=True)
+        require_number("h", self.h)
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"h must lie in (0, 1], got {self.h!r}")
         for eps in self.eps_list:
-            _require_number("eps_list entry", eps)
+            require_number("eps_list entry", eps)
         self.grid = tuple(int(v) for v in self.grid)
         self.eps_list = tuple(self.eps_list)
+        if not isinstance(self.family, (dict, type(None))):
+            raise ValueError(f"family must be an object, got {self.family!r}")
         if not isinstance(self.tolerances, dict):
             raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
         known = TOLERANCES.get(self.action, ())
@@ -108,7 +101,7 @@ class ScenarioConfig:
             if key not in known:
                 raise ValueError(f"action {self.action} takes no tolerance {key!r}; "
                                  f"it takes {list(known)}")
-            _require_number(f"tolerance {key}", value)
+            require_number(f"tolerance {key}", value)
             if not value > 0:
                 raise ValueError(f"tolerance {key} must be > 0, got {value!r}")
 
@@ -333,12 +326,14 @@ def emit(report: Report, out_dir) -> list:
     paths.append(jpath)
     for name, (labels, matrix) in report.matrices.items():
         cpath = os.path.join(out_dir, f"{name}.csv")
+        matrix = np.asarray(matrix, dtype=float)
+        # one format string per row: the bytes csv.writer writes for
+        # format(v, ".17g") entries, which never need quoting
+        row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
         try:
             with open(cpath, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(labels)
-                for row in np.asarray(matrix):
-                    writer.writerow([format(float(v), ".17g") for v in row])
+                csv.writer(fh).writerow(labels)
+                fh.writelines(row_format % tuple(row) for row in matrix.tolist())
         except OSError as exc:
             raise DbarDiskError(f"cannot write matrix to {cpath}: {exc}") from exc
         paths.append(cpath)

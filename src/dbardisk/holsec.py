@@ -6,7 +6,18 @@ In the flat trivialization the kernel of the boundary problem
 
 consists of the real constant sections: dimension 2n over R, which
 ``dbar_kernel_dimension`` recovers numerically as the SVD null space of the
-discretized operator. The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
+discretized operator. It never forms that operator whole. dbar sends
+z^p zbar^q to z^p zbar^(q - 1), of frequency p - q + 1 on the circle, and
+Im f = 0 pairs frequency m with -m, so for a component that no connection
+entry touches (a flat one) the normal matrix is block-diagonal over
+|p - q|: its spectrum is the union of one small SVD per |p - q|, the same
+for every flat component. The components that connection entries a_ji
+touch take one SVD of their rows and columns together, also when the
+entries split them into independent groups: per-group SVDs would make the
+cost depend cubically on how a connection happens to split, so that two
+connections touching the same components could differ fourfold. The rank
+is cut against the largest singular value of all blocks.
+The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
 need no frame object: pairing them against f_zbar gives holomorphic
 coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked with
 d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 in polar coordinates,
@@ -23,6 +34,7 @@ under strict k-pseudoconvexity via subset sums).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +47,7 @@ from .errors import (
     Refusal,
     ResolutionError,
     VacuousCertificateError,
+    require_number,
 )
 from .geometry import DefiningFunction, classify_pseudoconvexity, hermitian
 from .secondvar import (
@@ -57,9 +70,99 @@ __all__ = [
 # Fredholm kernel of the dbar boundary problem
 
 
+def _monomials(degree):
+    """Exponents (p, q) of z^p zbar^q with p + q <= degree, ordered by total
+    degree, then p; (p, q) sits at _mono_index(p, q)."""
+    tot = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+    p = np.arange(tot.size) - tot * (tot + 1) // 2
+    return p, tot - p
+
+
+def _mono_index(p, q):
+    tot = p + q
+    return tot * (tot + 1) // 2 + p
+
+
 def _monomial_scale(p, q):
     # L^2(D) norm of z^p zbar^q is sqrt(pi / (p + q + 1))
     return np.sqrt((p + q + 1) / np.pi)
+
+
+def _checked_connection(connection, dim):
+    """The connection with int components and exponents and complex
+    coefficients; ValueError names the offending key."""
+    if not isinstance(connection or {}, dict):
+        raise ValueError(f"connection must be a dict, got {connection!r}")
+    conn = {}
+    for key, poly in (connection or {}).items():
+        try:
+            if not (isinstance(key, tuple) and len(key) == 2 and isinstance(poly, dict)):
+                raise ValueError("not a pair (j, i) mapped to a dict of monomials")
+            j, i = (require_number("component", c, integer=True, minimum=0) for c in key)
+            if max(j, i) >= dim:
+                raise ValueError(f"component out of [0, {dim})")
+            terms = {}
+            for pq, c in poly.items():
+                if not (isinstance(pq, tuple) and len(pq) == 2):
+                    raise ValueError(f"exponent {pq!r} is not a pair (p, q)")
+                pa, qa = (require_number("exponent", e, integer=True, minimum=0)
+                          for e in pq)
+                if not (isinstance(c, numbers.Number) and np.isfinite(complex(c))):
+                    raise ValueError(f"coefficient {c!r} of {pq!r} is not a finite number")
+                terms[pa, qa] = complex(c)
+        except ValueError as exc:
+            raise ValueError(f"connection entry {key!r}: {exc}") from None
+        conn[j, i] = terms
+    return conn
+
+
+def _real_operator(comps, conn, degree):
+    """Real matrix of f -> (dbar f + a f, Im f on the circle) on the listed
+    components; the unknowns are the real and imaginary parts of the
+    coefficients of the L^2-normalised monomials of degree <= degree.
+
+    dbar z^p zbar^q = q z^p zbar^(q - 1), and the entry a_ji term
+    (p_a, q_a) sends z^p zbar^q of component j to z^(p + p_a) zbar^(q + q_a)
+    of component i. The boundary rows are the Fourier coefficients of Im f:
+    for k = |p - q| the cosine row takes Im a and the sine row
+    sign(p - q) Re a, weighted so that their Gram matrix equals that of the
+    collocated rows (exact for n_boundary > 2 degree).
+    """
+    p, q = _monomials(degree)
+    g, n_mono = len(comps), p.size
+    local = {c: l for l, c in enumerate(comps)}
+    inv_s = 1.0 / _monomial_scale(p, q)
+    mono = np.arange(n_mono)
+    comp = np.arange(g)[:, None]
+    # complex operator as (row, column, value): dbar on every component,
+    # then each connection term (j, i, p_a, q_a, c) inside the group
+    terms = np.array([(local[j], local[i], pa, qa, c.real, c.imag)
+                      for (j, i), poly in conn.items()
+                      for (pa, qa), c in poly.items()]).reshape(-1, 6)
+    tj, ti, tp, tq = (terms[:, k, None].astype(int) for k in range(4))
+    deg_out = degree + int(np.max(tp + tq, initial=0))
+    n_out = (deg_out + 1) * (deg_out + 2) // 2
+    has_q = q >= 1
+    rows = np.concatenate([(comp * n_out + _mono_index(p, q - 1)[has_q]).ravel(),
+                           (ti * n_out + _mono_index(p + tp, q + tq)).ravel()])
+    cols = np.concatenate([(comp * n_mono + mono[has_q]).ravel(),
+                           (tj * n_mono + mono).ravel()])
+    vals = np.concatenate([np.tile(q[has_q] * inv_s[has_q], g),
+                           ((terms[:, 4] + 1j * terms[:, 5])[:, None] * inv_s).ravel()])
+    a_c = np.zeros((g * n_out, g * n_mono), dtype=complex)
+    np.add.at(a_c, (rows, cols), vals)
+
+    n_freq = 2 * degree + 1
+    freq = np.abs(p - q)
+    col = (comp * n_mono + mono).ravel()
+    row = (comp * n_freq + freq).ravel()
+    bnd = np.zeros((g * n_freq, 2 * g * n_mono))
+    bnd[row, g * n_mono + col] = np.tile(
+        np.where(freq == 0, np.sqrt(2.0 * np.pi), np.sqrt(np.pi)) * inv_s, g)
+    sin = np.tile(freq > 0, g)
+    bnd[row[sin] + degree, col[sin]] = np.tile(np.sqrt(np.pi) * np.sign(p - q) * inv_s,
+                                               g)[sin]
+    return np.vstack([np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]]), bnd])
 
 
 def dbar_kernel_dimension(n: int, degree: int = 6,
@@ -74,71 +177,46 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
     of total degree <= degree; the boundary condition is collocated at
     n_boundary uniform angles. connection maps (j, i) to {(p, q): coeff}
     polynomial coefficients of the (0,1)-form entries a_ji (default zero,
-    the flat trivialization). Kernel dimension counts real dimensions via
-    an SVD with the given relative threshold; in the flat case it is 2n
-    (the real constants).
+    the flat trivialization). Kernel dimension counts real dimensions: the
+    singular values at or below svd_threshold times the largest one; in the
+    flat case it is 2n (the real constants). With return_details, also all
+    2 * 2n * (degree + 1)(degree + 2) / 2 singular values, descending.
+
+    The spectrum is assembled block by block (see the module docstring):
+    one SVD for the components the connection touches, and for the flat
+    components one small SVD per |p - q|, shared by all of them.
     """
+    require_number("n", n, integer=True, minimum=1)
+    require_number("degree", degree, integer=True)
     if degree < 1:
         raise ResolutionError("polynomial degree must be >= 1")
     if n_boundary is None:
         n_boundary = 4 * degree + 8
+    require_number("n_boundary", n_boundary, integer=True)
     if n_boundary < 4 * degree + 4:
         raise ResolutionError(
             f"need at least {4 * degree + 4} boundary samples for degree {degree}"
         )
+    if not 0.0 < require_number("svd_threshold", svd_threshold) < 1.0:
+        raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
     dim = 2 * n
-    monos = [(p, q) for tot in range(degree + 1) for p in range(tot + 1)
-             for q in [tot - p]]
-    n_mono = len(monos)
-    mono_index = {pq: a for a, pq in enumerate(monos)}
-    deg_a = 0
-    conn = {}
-    if connection:
-        for (j, i), poly in connection.items():
-            conn[(j, i)] = {(int(p), int(q)): complex(c) for (p, q), c in poly.items()}
-            for p, q in poly:
-                deg_a = max(deg_a, p + q)
-    out_monos = [(p, q) for tot in range(degree + deg_a + 1) for p in range(tot + 1)
-                 for q in [tot - p]]
-    out_index = {pq: a for a, pq in enumerate(out_monos)}
-
-    n_cols = dim * n_mono            # complex unknowns
-    n_dbar = dim * len(out_monos)    # complex equations
-    a_c = np.zeros((n_dbar, n_cols), dtype=complex)
-    for i in range(dim):
-        for a, (p, q) in enumerate(monos):
-            col = i * n_mono + a
-            scale = _monomial_scale(p, q)
-            if q >= 1:
-                row = i * len(out_monos) + out_index[(p, q - 1)]
-                a_c[row, col] += q / scale
-    # connection term: a_ji multiplies f^j and feeds output component i
-    for (j, i), poly in conn.items():
-        for a, (p, q) in enumerate(monos):
-            col = j * n_mono + a
-            scale = _monomial_scale(p, q)
-            for (pa, qa), c in poly.items():
-                row = i * len(out_monos) + out_index[(p + pa, q + qa)]
-                a_c[row, col] += c / scale
-    # boundary collocation of Im f^i at uniform angles
-    thetas = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    zb = np.exp(1j * thetas)
-    n_bnd = dim * n_boundary
-    b_c = np.zeros((n_bnd, n_cols), dtype=complex)
-    for i in range(dim):
-        for a, (p, q) in enumerate(monos):
-            col = i * n_mono + a
-            vals = zb ** (p - q) / _monomial_scale(p, q)
-            rows = i * n_boundary + np.arange(n_boundary)
-            b_c[rows, col] = vals
-
-    # real form: unknown x = (Re a, Im a)
-    top = np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]])
-    bnd = np.sqrt(2.0 * np.pi / n_boundary) * np.block([[b_c.imag, b_c.real]])
-    full = np.vstack([top, bnd])
-    svals = np.linalg.svd(full, compute_uv=False)
+    conn = _checked_connection(connection, dim)
+    coupled = sorted({c for key in conn for c in key})
+    spectra = []
+    if coupled:
+        spectra.append(np.linalg.svd(_real_operator(coupled, conn, degree),
+                                     compute_uv=False))
+    n_flat = dim - len(coupled)
+    if n_flat:
+        flat = _real_operator([0], {}, degree)
+        p, q = _monomials(degree)
+        freq = np.tile(np.abs(p - q), 2)
+        blocks = [np.linalg.svd(flat[:, freq == k], compute_uv=False)
+                  for k in range(degree + 1)]
+        spectra += [np.concatenate(blocks)] * n_flat
+    svals = np.sort(np.concatenate(spectra))[::-1]
     rank = int(np.sum(svals > svd_threshold * svals[0]))
-    kdim = full.shape[1] - rank
+    kdim = svals.size - rank
     if return_details:
         return kdim, svals
     return kdim

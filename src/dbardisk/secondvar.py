@@ -44,6 +44,8 @@ from .errors import (
     ConstraintViolationError,
     EmptyBasisError,
     InvalidVariationError,
+    require_number,
+    require_objects,
 )
 from .geometry import DefiningFunction, apply_j, boundary_data, hermitian
 
@@ -552,8 +554,13 @@ class PolarPoly:
 
     @classmethod
     def from_json(cls, spec) -> "PolarPoly":
-        return cls([(t["rpow"], t["freq"], t.get("re", 0.0) + 1j * t.get("im", 0.0))
-                    for t in spec["terms"]])
+        if not isinstance(spec, dict):
+            raise ValueError(f"polar polynomial must be an object, got {spec!r}")
+        return cls([(require_number("rpow", t.get("rpow"), integer=True, minimum=0),
+                     require_number("freq", t.get("freq"), integer=True),
+                     require_number("re", t.get("re", 0.0))
+                     + 1j * require_number("im", t.get("im", 0.0)))
+                    for t in require_objects("polar polynomial terms", spec.get("terms"))])
 
 
 def random_polar_poly(rng, kmax: int = 2, extra: int = 2, scale: float = 0.5,

@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbardisk.cli import main
 from dbardisk.errors import NonFiniteValueError, Refusal
-from dbardisk.harness import ScenarioConfig, emit, run, to_json_text
+from dbardisk.harness import ACTIONS, ScenarioConfig, emit, run, to_json_text
 from conftest import SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP
 
 
@@ -140,6 +146,35 @@ def test_emit_csv_layout(tmp_path):
     lines = open(csv_path).read().strip().splitlines()
     assert len(lines) == 9  # header + 8 rows
     assert len(lines[0].split(",")) == 8
+
+
+def _per_entry_csv(path, labels, matrix):
+    """gram.csv as csv.writer writes it, one format() call per entry."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(labels)
+        for row in np.asarray(matrix):
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def test_emit_csv_bytes_match_per_entry_writer(tmp_path):
+    rep = run(ScenarioConfig(action="index", domain="ball4", map="f3",
+                             basis_size=8))
+    labels, gram = rep.matrices["gram"]
+    special = np.array([[-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+                         0.1, 1.0 / 3.0, -2.0, 123456789.0, 1e16, 1e-5]])
+    rng = np.random.default_rng(3)
+    cases = {"gram": (labels, gram),
+             "special": ([f"c{i}" for i in range(12)], special),
+             "scaled": (["a, \"b\"", "c"],
+                        rng.standard_normal((5, 2)) * 10.0 ** rng.integers(-20, 20, (5, 2))),
+             "integers": (["x"], np.arange(3).reshape(3, 1))}
+    rep.matrices = cases
+    emit(rep, tmp_path / "out")
+    for name, (names, matrix) in cases.items():
+        _per_entry_csv(tmp_path / f"{name}.csv", names, matrix)
+        assert ((tmp_path / "out" / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}.csv").read_bytes()), name
 
 
 def test_report_schema_golden():
@@ -308,3 +343,75 @@ def test_catalog_scenarios_under_a_minute():
         t0 = time.perf_counter()
         run(cfg)
         assert time.perf_counter() - t0 < 60.0, cfg.action
+
+
+# ---------------------------------------------------------------------------
+# CLI under mutated configs
+
+SMALL_GRID = [16, 32]
+KNOWN_GOOD_CONFIGS = [
+    {"action": "energy", "grid": SMALL_GRID, "map": {"n": 2, "coords": [
+        [{"zp": 1, "zq": 0, "re": 1.0}], [{"zp": 0, "zq": 1, "re": 0.5, "im": -0.5}]]}},
+    {"action": "critical", "map": "f3", "domain": "ball4", "grid": SMALL_GRID,
+     "tolerances": {"tol_h": 1e-7, "tol_b": 1e-7}},
+    {"action": "index", "map": "f4", "domain": "weak_rank_one", "grid": SMALL_GRID,
+     "basis_size": 8, "seed": 2, "tolerances": {"tol_neg_rel": 1e-9}},
+    {"action": "certify", "map": "f3", "domain": "ball4", "grid": SMALL_GRID, "k": 1,
+     "tolerances": {"tol_h": 1e-7, "tol_b": 1e-7, "tol_holo": 1e-8, "tol_pc": 1e-9}},
+    {"action": "levi", "map": SYNTHETIC_C3_MAP, "domain": SYNTHETIC_C3_DOMAIN,
+     "grid": SMALL_GRID, "k": 2, "deterministic": True},
+    {"action": "f4_family", "grid": SMALL_GRID, "h": 0.05, "seed": 3, "family": {
+        "sigma": {"terms": [{"rpow": 0, "freq": 0, "re": 1.0},
+                            {"rpow": 2, "freq": 0, "re": -1.0}]},
+        "phi": {"terms": [{"rpow": 1, "freq": 1, "re": 0.2, "im": 0.1}]},
+        "psi": None, "eta": None}},
+    {"action": "cutoff", "map": "f4", "domain": "weak_rank_one", "grid": SMALL_GRID,
+     "eps_list": [1e-2, 1e-3]},
+]
+# wrong types, non-finite, huge, negative and string values; no huge
+# integer, which would be a legitimate (and large) grid or basis request
+BAD_VALUES = [None, True, "x", "", [], {}, [1, 2, 3], float("nan"), float("inf"),
+              -float("inf"), 1e300, -1e300, -1, -0.5, 0]
+
+
+def _locations(node, path=()):
+    """Every key path inside a nested config, outermost first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(KNOWN_GOOD_CONFIGS)))
+    action = cfg.pop("action")
+    kind = draw(st.sampled_from(["drop", "replace", "swap"]))
+    if kind == "swap":
+        return draw(st.sampled_from(ACTIONS)), cfg
+    path = draw(st.sampled_from(list(_locations(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return action, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_configs())
+def test_cli_exit_codes_under_mutated_configs(tmp_path_factory, case):
+    action, cfg = case
+    cfg_path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main([action.replace("_", "-"), "--config", str(cfg_path)])
+    assert code in (0, 1, 2), (code, cfg)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _strict_json(out.getvalue())

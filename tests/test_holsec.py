@@ -46,6 +46,140 @@ def test_kernel_singular_value_gap():
     assert svals[-4] < 1e-10 * svals[0]
 
 
+def _dense_kernel(n, degree=6, n_boundary=None, connection=None,
+                  svd_threshold=1e-8):
+    """The kernel as one dense SVD of the whole real operator: every
+    component, every monomial and every collocated boundary row."""
+    if n_boundary is None:
+        n_boundary = 4 * degree + 8
+    dim = 2 * n
+    monos = [(p, tot - p) for tot in range(degree + 1) for p in range(tot + 1)]
+    n_mono = len(monos)
+    conn = connection or {}
+    deg_a = max((p + q for poly in conn.values() for p, q in poly), default=0)
+    out_monos = [(p, tot - p) for tot in range(degree + deg_a + 1)
+                 for p in range(tot + 1)]
+    out_index = {pq: a for a, pq in enumerate(out_monos)}
+
+    def scale(p, q):
+        return np.sqrt((p + q + 1) / np.pi)
+
+    a_c = np.zeros((dim * len(out_monos), dim * n_mono), dtype=complex)
+    for i in range(dim):
+        for a, (p, q) in enumerate(monos):
+            if q >= 1:
+                a_c[i * len(out_monos) + out_index[(p, q - 1)], i * n_mono + a] += (
+                    q / scale(p, q))
+    for (j, i), poly in conn.items():
+        for a, (p, q) in enumerate(monos):
+            for (pa, qa), c in poly.items():
+                a_c[i * len(out_monos) + out_index[(p + pa, q + qa)], j * n_mono + a] += (
+                    c / scale(p, q))
+    zb = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
+    b_c = np.zeros((dim * n_boundary, dim * n_mono), dtype=complex)
+    for i in range(dim):
+        for a, (p, q) in enumerate(monos):
+            rows = i * n_boundary + np.arange(n_boundary)
+            b_c[rows, i * n_mono + a] = zb ** (p - q) / scale(p, q)
+    top = np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]])
+    bnd = np.sqrt(2.0 * np.pi / n_boundary) * np.block([[b_c.imag, b_c.real]])
+    full = np.vstack([top, bnd])
+    svals = np.linalg.svd(full, compute_uv=False)
+    return full.shape[1] - int(np.sum(svals > svd_threshold * svals[0])), svals
+
+
+LINEAR = {(0, 0): 0.3 - 0.2j, (1, 0): 0.1j, (0, 1): -0.25}
+ORACLE_CASES = {
+    "flat-n1": (1, 6, {}),
+    "flat-n2": (2, 9, {}),
+    "flat-n3": (3, 10, {}),
+    "self-loop": (1, 6, {"connection": {(0, 0): {(0, 0): 1.0}}}),
+    "two-groups": (3, 7, {"connection": {(0, 1): LINEAR, (2, 0): {(0, 0): 0.5},
+                                         (3, 4): LINEAR}}),
+    "fully-joined": (2, 8, {"connection": {(0, 1): LINEAR, (1, 2): LINEAR,
+                                           (2, 3): {(1, 0): 0.4}, (3, 3): LINEAR}}),
+    "degree-2-term": (2, 6, {"connection": {(1, 0): {(2, 0): 0.3 + 0.1j, (1, 1): -0.2,
+                                                     (0, 2): 0.05j}}}),
+    "n-boundary": (2, 6, {"n_boundary": 28, "connection": {(3, 1): LINEAR}}),
+    # a loose threshold cuts whole flat blocks: only the global sigma_0 agrees
+    "loose-threshold": (2, 6, {"svd_threshold": 0.3, "connection": {(0, 1): LINEAR}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernel_matches_dense_assembly(case):
+    n, degree, kwargs = ORACLE_CASES[case]
+    kdim, svals = dbar_kernel_dimension(n, degree=degree, return_details=True, **kwargs)
+    kdim_dense, svals_dense = _dense_kernel(n, degree=degree, **kwargs)
+    assert kdim == kdim_dense
+    assert svals.shape == svals_dense.shape == (2 * 2 * n * (degree + 1) * (degree + 2) // 2,)
+    assert np.all(np.diff(svals) <= 0)
+    assert np.max(np.abs(svals - svals_dense)) <= 1e-12 * svals_dense[0]
+
+
+def _svd_widths(monkeypatch, *args, **kwargs):
+    widths = []
+    svd = np.linalg.svd
+
+    def spy(a, *svd_args, **svd_kwargs):
+        widths.append(a.shape[1])
+        return svd(a, *svd_args, **svd_kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    dbar_kernel_dimension(*args, **kwargs)
+    monkeypatch.undo()
+    return sorted(widths, reverse=True)
+
+
+def test_kernel_takes_block_svds(monkeypatch):
+    # flat components split by |p - q|: no block wider than 4 (d + 1)
+    degree = 13
+    widths = _svd_widths(monkeypatch, 3, degree=degree)
+    assert widths and max(widths) <= 4 * (degree + 1)
+    # the touched components 0-4 (two independent groups) take one SVD
+    # together, as wide as they are (real and imaginary parts of every
+    # monomial); the flat component 5 in blocks
+    n_mono = 28
+    conn = {(0, 1): LINEAR, (2, 1): LINEAR, (3, 4): LINEAR}
+    widths = _svd_widths(monkeypatch, 3, degree=6, connection=conn)
+    assert widths[0] == 2 * 5 * n_mono
+    assert max(widths[1:]) <= 4 * 7
+    assert sum(widths) == 2 * 6 * n_mono
+
+
+MALFORMED_KERNEL_INPUTS = {
+    "connection-not-a-dict": {"connection": [((0, 1), {(0, 0): 1.0})]},
+    "key-negative-source": {"connection": {(-1, 0): {(0, 0): 1.0}}},
+    "key-negative-target": {"connection": {(0, -2): {(0, 0): 1.0}}},
+    "key-out-of-range": {"connection": {(0, 2): {(0, 0): 1.0}}},
+    "key-float": {"connection": {(0, 1.0): {(0, 0): 1.0}}},
+    "key-not-a-pair": {"connection": {0: {(0, 0): 1.0}}},
+    "entry-not-a-dict": {"connection": {(0, 1): [1.0]}},
+    "exponent-negative": {"connection": {(0, 1): {(-1, 0): 1.0}}},
+    "exponent-float": {"connection": {(0, 1): {(0, 0.5): 1.0}}},
+    "coefficient-nan": {"connection": {(0, 1): {(0, 0): float("nan")}}},
+    "coefficient-inf": {"connection": {(0, 1): {(0, 0): complex(0.0, float("inf"))}}},
+    "coefficient-string": {"connection": {(0, 1): {(0, 0): "1"}}},
+    "n-zero": {"n": 0},
+    "n-float": {"n": 1.0},
+    "n-bool": {"n": True},
+    "degree-float": {"degree": 6.0},
+    "n-boundary-float": {"n_boundary": 28.5},
+    "threshold-zero": {"svd_threshold": 0.0},
+    "threshold-one": {"svd_threshold": 1.0},
+    "threshold-nan": {"svd_threshold": float("nan")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_KERNEL_INPUTS))
+def test_kernel_rejects_malformed_inputs(name):
+    kwargs = {"n": 1, "degree": 6, **MALFORMED_KERNEL_INPUTS[name]}
+    with pytest.raises(ValueError) as err:
+        dbar_kernel_dimension(kwargs.pop("n"), **kwargs)
+    if isinstance(kwargs.get("connection"), dict):
+        assert repr(next(iter(kwargs["connection"]))) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # U sections
 
