@@ -21,6 +21,7 @@ which is DBAR_RAW_FACTOR times E''.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,10 +92,11 @@ class DiskGrid:
         nodes = np.concatenate([self.r, [1.0]])
         d_aug = _differentiation_matrix(nodes)
         self._d1_row = d_aug[-1]
-        k = np.fft.fftfreq(n_theta, d=1.0 / n_theta)
-        self._ik = 1j * k
-        self._ik_odd = self._ik.copy()
-        self._ik_odd[n_theta // 2] = 0.0  # kill the Nyquist mode in odd derivatives
+        # i k over the full spectrum (complex input) and over the half
+        # spectrum of rfft (real input); the Nyquist mode is last in the half
+        # spectrum and at n_theta // 2 in the full one
+        self._ik = 1j * np.fft.fftfreq(n_theta, d=1.0 / n_theta)
+        self._ik_half = 1j * np.arange(n_theta // 2 + 1.0)
 
     # -- quadrature ---------------------------------------------------------
 
@@ -109,22 +111,34 @@ class DiskGrid:
     # -- differentiation ----------------------------------------------------
 
     def theta_derivative(self, arr: np.ndarray, order: int = 1, axis: int = 1) -> np.ndarray:
-        mult = self._ik_odd if order % 2 else self._ik
-        mult = mult**order if order > 1 else mult
+        """order-th spectral d/dtheta along axis (length n_theta).
+
+        Real input takes a real FFT pair and stays real; complex input a
+        complex pair. Odd orders zero the Nyquist mode, even orders keep its
+        real multiplier (i n_theta / 2)^order.
+        """
+        real = np.isrealobj(arr)
+        mult = (self._ik_half if real else self._ik) ** order
+        if order % 2:
+            mult[self.n_theta // 2] = 0.0
         shape = [1] * arr.ndim
-        shape[axis] = self.n_theta
-        spec = np.fft.fft(arr, axis=axis) * mult.reshape(shape)
-        out = np.fft.ifft(spec, axis=axis)
-        return out.real if np.isrealobj(arr) else out
+        shape[axis] = mult.size
+        if real:
+            spec = np.fft.rfft(arr, axis=axis)
+            spec *= mult.reshape(shape)
+            return np.fft.irfft(spec, n=self.n_theta, axis=axis)
+        spec = np.fft.fft(arr, axis=axis)
+        spec *= mult.reshape(shape)
+        return np.fft.ifft(spec, axis=axis)
 
     def radial_derivative(self, arr: np.ndarray) -> np.ndarray:
         """Differentiate along axis 0 (the radial axis)."""
-        return np.tensordot(self._d_r, arr, axes=(1, 0))
+        return (self._d_r @ arr.reshape(self.n_r, -1)).reshape(arr.shape)
 
     def boundary_radial_derivative(self, values: np.ndarray, trace: np.ndarray) -> np.ndarray:
         """d/dr at r = 1 from interior samples plus the boundary trace."""
-        stacked = np.concatenate([values, trace[None]], axis=0)
-        return np.tensordot(self._d1_row, stacked, axes=(0, 0))
+        interior = self._d1_row[:-1] @ values.reshape(self.n_r, -1)
+        return interior.reshape(trace.shape) + self._d1_row[-1] * trace
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """f_rr + f_r / r + f_tt / r^2 on the grid."""
@@ -270,20 +284,54 @@ class DiskMap:
         )
 
 
-@dataclass
 class Derivatives:
-    """First-derivative fields of a DiskMap on the grid and its boundary."""
+    """First-derivative fields of a DiskMap on the grid and its boundary.
 
-    f_x: np.ndarray
-    f_y: np.ndarray
-    f_r: np.ndarray
-    f_theta: np.ndarray
-    f_z: np.ndarray      # (f_x - J f_y)/2, stored as a real 2n-vector field
-    f_zbar: np.ndarray   # (f_x + J f_y)/2
-    boundary_f_r: np.ndarray
-    boundary_f_theta: np.ndarray
-    boundary_f_x: np.ndarray
-    boundary_f_y: np.ndarray
+    Stored: f_r and f_theta on the grid and the boundary traces
+    boundary_f_r, boundary_f_theta, boundary_f_x and boundary_f_y. A map
+    with an analytic evaluator also stores its exact f_x and f_y. Lazy,
+    computed on first read and cached: f_x and f_y of a sampled map (polar
+    chain rule), and f_z = (f_x - J f_y)/2 and f_zbar = (f_x + J f_y)/2,
+    stored as real 2n-vector fields.
+    """
+
+    def __init__(self, grid: DiskGrid, f_r, f_theta, boundary_f_r, boundary_f_theta,
+                 boundary_f_x, boundary_f_y, f_x=None, f_y=None):
+        self.grid = grid
+        self.f_r, self.f_theta = f_r, f_theta
+        self.boundary_f_r, self.boundary_f_theta = boundary_f_r, boundary_f_theta
+        self.boundary_f_x, self.boundary_f_y = boundary_f_x, boundary_f_y
+        self._polar = f_x is None
+        if not self._polar:
+            self._cartesian = (f_x, f_y)
+
+    @cached_property
+    def _cartesian(self):
+        g = self.grid
+        return _kernels.polar_to_cartesian(self.f_r, self.f_theta, g.inv_r, g.cos_t, g.sin_t)
+
+    @property
+    def f_x(self) -> np.ndarray:
+        return self._cartesian[0]
+
+    @property
+    def f_y(self) -> np.ndarray:
+        return self._cartesian[1]
+
+    @cached_property
+    def f_z(self) -> np.ndarray:
+        return 0.5 * (self.f_x - apply_j(self.f_y))
+
+    @cached_property
+    def f_zbar(self) -> np.ndarray:
+        return 0.5 * (self.f_x + apply_j(self.f_y))
+
+    def frame_pair(self):
+        """The derivatives along an oriented orthonormal frame that the fields
+        already hold: (f_x, f_y) when stored, else (f_r, f_theta / r)."""
+        if self._polar:
+            return self.f_r, self.f_theta * self.grid.inv_r[:, None, None]
+        return self._cartesian
 
     @property
     def boundary_f_zbar(self) -> np.ndarray:
@@ -295,49 +343,35 @@ class Derivatives:
 def derivatives(f: DiskMap) -> Derivatives:
     """First derivatives of f; analytic closures take precedence."""
     grid = f.grid
-    if f.analytic is not None:
-        z = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
-        zb = np.exp(1j * grid.theta)
-        dz = f.analytic.d_z()
-        dzb = f.analytic.d_zbar()
-        for pts, dest in ((z, "grid"), (zb, "bdry")):
-            wz = dz.evaluate(pts)
-            wzb = dzb.evaluate(pts)
-            cx = wz + wzb            # df/dx in C^n
-            cy = 1j * (wz - wzb)     # df/dy in C^n
-            fx = _complex_to_real_vectors(cx)
-            fy = _complex_to_real_vectors(cy)
-            if dest == "grid":
-                g_fx, g_fy = fx, fy
-            else:
-                b_fx, b_fy = fx, fy
-        cos_t = grid.cos_t[:, None]
-        sin_t = grid.sin_t[:, None]
-        fr = grid.cos_t[None, :, None] * g_fx + grid.sin_t[None, :, None] * g_fy
-        ft = grid.r[:, None, None] * (
-            -grid.sin_t[None, :, None] * g_fx + grid.cos_t[None, :, None] * g_fy
-        )
-        b_fr = cos_t * b_fx + sin_t * b_fy
-        b_ft = -sin_t * b_fx + cos_t * b_fy
-        fx, fy = g_fx, g_fy
-    else:
+    cos_t = grid.cos_t[:, None]
+    sin_t = grid.sin_t[:, None]
+    if f.analytic is None:
         fr = grid.radial_derivative(f.values)
         ft = grid.theta_derivative(f.values)
-        fx, fy = _kernels.polar_to_cartesian(fr, ft, grid.inv_r, grid.cos_t, grid.sin_t)
         b_fr = grid.boundary_radial_derivative(f.values, f.boundary)
         b_ft = grid.theta_derivative(f.boundary, axis=0)
-        cos_t = grid.cos_t[:, None]
-        sin_t = grid.sin_t[:, None]
         # chain rule at r = 1
         b_fx = cos_t * b_fr - sin_t * b_ft
         b_fy = sin_t * b_fr + cos_t * b_ft
-    f_zbar = 0.5 * (fx + apply_j(fy))
-    f_z = 0.5 * (fx - apply_j(fy))
-    return Derivatives(
-        f_x=fx, f_y=fy, f_r=fr, f_theta=ft, f_z=f_z, f_zbar=f_zbar,
-        boundary_f_r=b_fr, boundary_f_theta=b_ft,
-        boundary_f_x=b_fx, boundary_f_y=b_fy,
-    )
+        return Derivatives(grid, fr, ft, b_fr, b_ft, b_fx, b_fy)
+    z = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
+    zb = np.exp(1j * grid.theta)
+    dz = f.analytic.d_z()
+    dzb = f.analytic.d_zbar()
+    fields = []
+    for pts in (z, zb):
+        wz = dz.evaluate(pts)
+        wzb = dzb.evaluate(pts)
+        fields.append(_complex_to_real_vectors(wz + wzb))          # df/dx
+        fields.append(_complex_to_real_vectors(1j * (wz - wzb)))   # df/dy
+    fx, fy, b_fx, b_fy = fields
+    c = grid.cos_t[None, :, None]
+    s = grid.sin_t[None, :, None]
+    fr = c * fx + s * fy
+    ft = grid.r[:, None, None] * (-s * fx + c * fy)
+    b_fr = cos_t * b_fx + sin_t * b_fy
+    b_ft = -sin_t * b_fx + cos_t * b_fy
+    return Derivatives(grid, fr, ft, b_fr, b_ft, b_fx, b_fy, f_x=fx, f_y=fy)
 
 
 @dataclass
@@ -359,8 +393,7 @@ class EnergyReport:
 
 
 def energies(f: DiskMap) -> EnergyReport:
-    d = f.derivatives()
-    e_del, e_dbar, kahler, e_full = _kernels.energy_densities(d.f_x, d.f_y)
+    e_del, e_dbar, kahler, e_full = _kernels.energy_densities(*f.derivatives().frame_pair())
     grid = f.grid
     return EnergyReport(
         e_full=grid.integrate_disk(e_full),
@@ -372,9 +405,7 @@ def energies(f: DiskMap) -> EnergyReport:
 
 def dbar_density(f: DiskMap) -> np.ndarray:
     """Pointwise dbar-energy density |f_x + J f_y|^2 / 4 on the grid."""
-    d = f.derivatives()
-    _, e_dbar, _, _ = _kernels.energy_densities(d.f_x, d.f_y)
-    return e_dbar
+    return _kernels.dbar_density(*f.derivatives().frame_pair())
 
 
 def homotopy_invariance_check(f: DiskMap, eta: DiskMap, steps: int = 8) -> float:

@@ -161,11 +161,19 @@ def _differentiate(ex, coef):
     return d_ex, merged
 
 
-def _monomial_sum(p, ex, coef):
-    """sum_t coef[t] prod_i p_i^ex[t, i] at points p (..., m): shape (..., K)."""
+def _power_table(ex, coef):
+    """(distinct exponents, ex as indices into them, coef) for _monomial_sum."""
+    distinct, where = np.unique(ex, return_inverse=True)
+    return distinct, where.reshape(ex.shape), coef
+
+
+def _monomial_sum(p, distinct, where, coef):
+    """sum_t coef[t] prod_i p_i^ex[t, i] at points p (..., m): shape (..., K),
+    with ex = distinct[where]. Points are raised only to the distinct
+    exponents, so memory grows with their number, not their size."""
     p = np.asarray(p, dtype=float)
-    powers = p[..., None] ** np.arange(ex.max(initial=0) + 1)
-    monomials = np.prod(powers[..., np.arange(ex.shape[1]), ex], axis=-1)
+    powers = p[..., None] ** distinct
+    monomials = np.prod(powers[..., np.arange(where.shape[1]), where], axis=-1)
     return monomials @ coef
 
 
@@ -189,9 +197,10 @@ class PolynomialRho:
                 raise ValueError(f"non-finite coefficient {c} for exponents {ex}")
         ex = np.array([ex for ex, _ in self.terms], dtype=np.int64).reshape(-1, 2 * n)
         coef = np.array([c for _, c in self.terms]).reshape(-1, 1)
-        self._value_terms = (ex, coef)
-        self._gradient_terms = _differentiate(ex, coef)
-        self._hessian_terms = _differentiate(*self._gradient_terms)
+        gradient_terms = _differentiate(ex, coef)
+        self._value_terms = _power_table(ex, coef)
+        self._gradient_terms = _power_table(*gradient_terms)
+        self._hessian_terms = _power_table(*_differentiate(*gradient_terms))
 
     def __call__(self, p):
         return _monomial_sum(p, *self._value_terms)[..., 0]

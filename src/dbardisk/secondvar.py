@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .diskmap import DiskGrid, DiskMap, energies
+from .diskmap import DiskGrid, DiskMap, dbar_density
 from .errors import (
     AdmissibilityError,
     ConstraintViolationError,
@@ -465,14 +465,17 @@ def fd_second_variation(family: Callable[[float], DiskMap],
                 worst_value=worst,
             )
 
-    e0 = energies(family(0.0)).e_dbar
+    def e_dbar(g: DiskMap) -> float:
+        return g.grid.integrate_disk(dbar_density(g))
+
+    e0 = e_dbar(family(0.0))
 
     def second_diff(hh: float) -> float:
         gp = family(hh)
         gm = family(-hh)
         check(gp, hh)
         check(gm, -hh)
-        return (energies(gp).e_dbar - 2.0 * e0 + energies(gm).e_dbar) / hh**2
+        return (e_dbar(gp) - 2.0 * e0 + e_dbar(gm)) / hh**2
 
     coarse = second_diff(h)
     fine = second_diff(0.5 * h)
@@ -480,14 +483,33 @@ def fd_second_variation(family: Callable[[float], DiskMap],
     return FdSecondVariation(value=value, raw=4.0 * value, coarse=coarse, fine=fine, h=h)
 
 
+# largest |rho| a projected boundary point may keep: the default
+# tol_constraint of fd_second_variation, which evaluates these families
+PROJECTION_TOL = 1e-8
+
+
 def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray,
                              iterations: int = 3) -> np.ndarray:
-    """Newton steps along grad rho pulling points onto {rho = 0}."""
+    """Newton steps along grad rho pulling points onto {rho = 0}.
+
+    Raises ConstraintViolationError when some point still has
+    |rho| > PROJECTION_TOL after the steps, so a far point is refused
+    rather than returned off the hypersurface.
+    """
     out = np.array(points, dtype=float)
     for _ in range(iterations):
         val = np.asarray(df.rho(out), dtype=float)[..., None]
         grad = np.asarray(df.grad(out), dtype=float)
         out = out - val * grad / np.sum(grad * grad, axis=-1, keepdims=True)
+    rho = np.asarray(df.rho(out), dtype=float)
+    worst = int(np.argmax(np.abs(rho)))
+    if not abs(rho.flat[worst]) <= PROJECTION_TOL:
+        raise ConstraintViolationError(
+            f"{iterations} Newton steps leave |rho| = {abs(rho.flat[worst]):.3e} "
+            f"at node {worst}",
+            worst_node=worst,
+            worst_value=float(rho.flat[worst]),
+        )
     return out
 
 
@@ -528,13 +550,18 @@ class PolarPoly:
 
     def __init__(self, terms: Sequence[tuple]):
         self.terms = [(int(p), int(k), complex(c)) for (p, k, c) in terms]
+        self._by_freq = {}
+        for p, k, c in self.terms:
+            self._by_freq.setdefault(k, []).append((p, c))
 
     def __call__(self, r, theta):
+        """Sum over frequencies k of (sum_p c r^p) e^{i k theta}, real part."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-        for p, k, c in self.terms:
-            out += c * r**p * np.exp(1j * k * theta)
+        for k, group in self._by_freq.items():
+            radial = sum(c * r**p for p, c in group)
+            out += radial * np.exp(1j * k * theta)
         return out.real
 
     def d_r(self) -> "PolarPoly":

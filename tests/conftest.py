@@ -46,6 +46,14 @@ SYNTHETIC_C3_DOMAIN = {
     ],
 }
 
+# rho = x_1^(10^6): a power table up to the largest exponent would hold
+# points x 2n x 10^6 floats
+HUGE_EXPONENT_DOMAIN = {
+    "n": 2,
+    "name": "huge_exponent",
+    "terms": [{"exponents": [10**6, 0, 0, 0], "coef": 1.0}],
+}
+
 SYNTHETIC_C3_MAP = {
     "n": 3,
     "name": "conj_disk_c3",

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dbardisk import _kernels
 from dbardisk.diskmap import (
     DiskGrid,
     DiskMap,
@@ -10,6 +13,7 @@ from dbardisk.diskmap import (
     make_map,
 )
 from dbardisk.errors import InvalidVariationError, ResolutionError
+from dbardisk.geometry import apply_j
 
 
 def _random_poly_map(rng, degree=3, scale=0.5):
@@ -47,6 +51,31 @@ def test_radial_differentiation_exactness(grid):
     got = grid.radial_derivative(vals)
     expected = poly.deriv()(grid.r)[:, None, None]
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_real_fft_path_matches_complex_path(grid, order):
+    # random samples plus an explicit Nyquist mode (-1)^j
+    rng = np.random.default_rng(order)
+    x = rng.normal(size=(grid.n_r, grid.n_theta, 3))
+    x += 0.7 * np.cos(0.5 * grid.n_theta * grid.theta)[None, :, None]
+    for arr, axis in ((x, 1), (x[0], 0)):
+        real = grid.theta_derivative(arr, order=order, axis=axis)
+        full = grid.theta_derivative(arr.astype(complex), order=order, axis=axis)
+        assert np.isrealobj(real) and real.shape == arr.shape
+        assert np.max(np.abs(real - full.real)) <= 1e-13 * np.max(np.abs(full))
+        assert np.max(np.abs(full.imag)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_nyquist_rule(grid):
+    # odd orders kill the Nyquist mode; even orders keep (i N/2)^order
+    nyq = np.cos(0.5 * grid.n_theta * grid.theta)
+    half = 0.5 * grid.n_theta
+    for arr in (nyq, nyq.astype(complex)):
+        assert np.max(np.abs(grid.theta_derivative(arr, order=1, axis=0))) < 1e-12
+        assert np.max(np.abs(grid.theta_derivative(arr, order=3, axis=0))) < 1e-12
+        even = grid.theta_derivative(arr, order=2, axis=0)
+        assert np.max(np.abs(even + half**2 * nyq)) < 1e-10
 
 
 def _loop_differentiation_matrix(x):
@@ -192,6 +221,72 @@ def test_resolution_doubling(maps):
         fine_rep = energies(make_map(name, fine))
         for attr in ("e_full", "e_del", "e_dbar", "kahler"):
             assert abs(getattr(coarse_rep, attr) - getattr(fine_rep, attr)) < 1e-10
+
+
+def _frame_energies(grid, a, b):
+    return np.array([grid.integrate_disk(e) for e in _kernels.energy_densities(a, b)])
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (64, 128), (32, 512)])
+def test_polar_frame_energies_match_cartesian(shape):
+    # sampled maps feed (f_r, f_theta / r) to the kernel; the densities are
+    # frame independent, so the Cartesian pair must give the same integrals
+    g = DiskGrid(*shape)
+    for name in ("f1", "f2", "f3", "f4"):
+        f = make_map(name, g).rotated(5)
+        d = f.derivatives()
+        polar = _frame_energies(g, *d.frame_pair())
+        cartesian = _frame_energies(g, d.f_x, d.f_y)
+        assert np.max(np.abs(polar - cartesian)) <= 1e-14 * cartesian[3], name
+        rep = energies(f)
+        assert [rep.e_del, rep.e_dbar, rep.kahler, rep.e_full] == list(polar)
+    assert energies(make_map("f2", g)).e_dbar == 0.0
+
+
+def test_lazy_cartesian_fields(grid, maps):
+    # a sampled map builds f_x, f_y (and from them f_z, f_zbar) on first read
+    f = maps["f4"].rotated(3)
+    d = f.derivatives()
+    assert "_cartesian" not in vars(d) and "f_zbar" not in vars(d)
+    energies(f)
+    assert "_cartesian" not in vars(d)
+    fx, fy = d.f_x, d.f_y
+    assert d.f_x is fx and d.f_zbar is d.f_zbar
+    assert np.max(np.abs(d.f_zbar - d.f_z - apply_j(fy))) < 1e-13
+
+
+def _bessel_i1(x):
+    return sum((x / 2) ** (2 * k + 1) / (math.factorial(k) * math.factorial(k + 1))
+               for k in range(30))
+
+
+def _sampled_exp_map(g):
+    """(e^z, 0) in C^2 given only as samples."""
+    def real_vectors(w):
+        zero = np.zeros_like(w.real)
+        return np.stack([w.real, zero, w.imag, zero], axis=-1)
+
+    rim = np.exp(1j * g.theta)
+    return DiskMap(g, 2, real_vectors(np.exp(g.r[:, None] * rim[None, :])),
+                   real_vectors(np.exp(rim)), name="exp")
+
+
+def test_grid_doubling_converges_on_exp_map():
+    # E' of a holomorphic map is int |f'|^2 = int_D e^{2x} dA = pi I_1(2);
+    # the spectral path must converge exponentially on this non-polynomial map
+    exact = math.pi * _bessel_i1(2.0)
+    errors, dbar = [], []
+    for shape in ((8, 16), (16, 32), (32, 64)):
+        rep = energies(_sampled_exp_map(DiskGrid(*shape)))
+        errors.append(abs(rep.e_del - exact))
+        dbar.append(rep.e_dbar)
+    assert 1e-10 < errors[0] < 1e-6
+    assert errors[1] < 1e-5 * errors[0]
+    assert errors[2] < 1e-13
+    # at 8x16 the truncated e^{ik theta} modes (k >= 8, size 1/8!) alias into
+    # dbar f at 1e-5, so e_dbar ~ 1e-9 there; resolved grids give roundoff
+    assert dbar[0] < 1e-8
+    assert max(dbar[1:]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

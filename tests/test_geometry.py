@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from dbardisk.geometry import (
     from_complex_coords,
     make_domain,
 )
-from conftest import SYNTHETIC_C3_DOMAIN
+from conftest import HUGE_EXPONENT_DOMAIN, SYNTHETIC_C3_DOMAIN
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +293,25 @@ def test_polynomial_rho_matches_loops(data):
     assert rho.gradient(p).shape == (m,)
     assert rho.hessian(p).shape == (m, m)
     assert rho.hessian(np.stack([pts, pts])).shape == (2, len(pts), m, m)
+
+
+def test_power_table_memory_follows_distinct_exponents():
+    e = 10**6
+    df = make_domain(HUGE_EXPONENT_DOMAIN)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(256, 4))
+    pts[:, 0] = 1.0 - 1e-6 * pts[:, 0] ** 2     # keeps x_1^e of order 1
+    tracemalloc.start()
+    try:
+        rho, grad, hess = df.rho(pts), df.grad(pts), df.hess(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    x = pts[:, 0]
+    assert np.array_equal(rho, x**e)
+    np.testing.assert_allclose(grad[:, 0], e * x ** (e - 1), rtol=1e-15)
+    np.testing.assert_allclose(hess[:, 0, 0], e * (e - 1) * x ** (e - 2), rtol=1e-15)
+    assert not np.any(grad[:, 1:]) and not np.any(hess[:, 1:]) and not np.any(hess[:, :, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dbardisk.cli import main
 from dbardisk.errors import NonFiniteValueError, Refusal
 from dbardisk.harness import ACTIONS, ScenarioConfig, emit, run, to_json_text
-from conftest import SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP
+from conftest import HUGE_EXPONENT_DOMAIN, SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP
 
 
 def test_run_energy_f1():
@@ -319,6 +319,16 @@ def test_cli_malformed_values_are_errors(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+def test_cli_huge_exponent_domain_exits_cleanly(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"map": "f3", "domain": HUGE_EXPONENT_DOMAIN,
+                                    "grid": [8, 256]}))
+    code = main(["critical", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
 
 
 def test_cli_grid_flag(capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbardisk import secondvar as sv
-from dbardisk.diskmap import DBAR_RAW_FACTOR, DiskGrid, DiskMap, make_map
+from dbardisk.diskmap import DBAR_RAW_FACTOR, DiskGrid, DiskMap, energies, make_map
 from dbardisk.errors import (
     AdmissibilityError,
     ConstraintViolationError,
@@ -211,6 +211,27 @@ def test_fd_constraint_check(grid, maps, ball):
         sv.fd_second_variation(family, df=ball, h=0.05, tol_constraint=1e-8)
 
 
+def test_fd_dbar_only_density_matches_full_energies(grid, maps, ball):
+    V = _const_field(grid, [0.0, 1.0, 0.0, 0.0])
+    fam = sv.hypersurface_family(maps["f3"].rotated(3), V, ball)
+    h = 0.02
+    fd = sv.fd_second_variation(fam, df=ball, h=h)
+    e = {t: energies(fam(t)).e_dbar for t in (0.0, h, -h, h / 2, -h / 2)}
+    coarse = (e[h] - 2.0 * e[0.0] + e[-h]) / h**2
+    fine = (e[h / 2] - 2.0 * e[0.0] + e[-h / 2]) / (h / 2) ** 2
+    assert (fd.coarse, fd.fine) == (coarse, fine)
+
+
+def test_projection_refuses_a_far_step(grid, maps, ball):
+    # from |p| = 5 three Newton steps on the sphere only reach |p| ~ 1.08
+    V = _const_field(grid, [0.0, 1.0, 0.0, 0.0])
+    fam = sv.hypersurface_family(maps["f3"], V, ball)
+    with pytest.raises(ConstraintViolationError) as err:
+        fam(5.0)
+    assert err.value.worst_value > 1e-8
+    assert np.max(np.abs(ball.rho(fam(0.0025).boundary))) <= 1e-8
+
+
 def test_fd_oracle_on_ball_certificate_field(grid, maps, ball):
     # independent confirmation of I(V, V) = -2 pi for the constant field
     # e_{x_2} along the anti-holomorphic disk in the ball
@@ -375,6 +396,17 @@ def test_gram_scales_with_factors_only(conj_ball):
     assert gs.matrix.shape == (200, 200)
     assert gs.negative_count >= 3
     assert peak < 100 * 2**20, peak / 2**20
+
+
+def test_polar_poly_grouped_by_frequency_matches_term_sum(grid, rng):
+    poly = sv.random_polar_poly(rng, rim_zero=True)
+    r, t = grid.r[:, None], grid.theta[None, :]
+    want = sum(c * r**p * np.exp(1j * k * t) for p, k, c in poly.terms).real
+    scale = sum(abs(c) for _, _, c in poly.terms)
+    assert len({k for _, k, _ in poly.terms}) == 5 < len(poly.terms)
+    assert np.max(np.abs(poly(r, t) - want)) <= 1e-14 * scale
+    rim = poly(1.0, grid.theta)
+    assert rim.shape == grid.theta.shape and np.max(np.abs(rim)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
