@@ -66,7 +66,10 @@ def config_from_args(args) -> ScenarioConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object, "
+                             f"not {type(data).__name__}")
     data["action"] = args.action.replace("-", "_")
     if args.domain:
         data["domain"] = args.domain

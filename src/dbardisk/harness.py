@@ -92,6 +92,9 @@ class ScenarioConfig:
             require_number("eps_list entry", eps)
         self.grid = tuple(int(v) for v in self.grid)
         self.eps_list = tuple(self.eps_list)
+        if not isinstance(self.deterministic, bool):
+            raise ValueError(
+                f"deterministic must be true or false, got {self.deterministic!r}")
         if not isinstance(self.family, (dict, type(None))):
             raise ValueError(f"family must be an object, got {self.family!r}")
         if not isinstance(self.tolerances, dict):
@@ -248,6 +251,9 @@ def run(config: ScenarioConfig) -> Report:
 
     f = make_map(config.map, grid) if config.map is not None else None
     df = make_domain(config.domain) if config.domain is not None else None
+    if f is not None and df is not None and f.n != df.n:
+        raise ValueError(f"map {f.name!r} lies in C^{f.n} but domain {df.name!r} "
+                         f"in C^{df.n}")
 
     action = config.action
     if action == "energy":

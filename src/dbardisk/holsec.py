@@ -5,18 +5,21 @@ In the flat trivialization the kernel of the boundary problem
     dbar W = 0 on D,   Im W = 0 on dD
 
 consists of the real constant sections: dimension 2n over R, which
-``dbar_kernel_dimension`` recovers numerically as the SVD null space of the
+``dbar_kernel_dimension`` recovers numerically as the null space of the
 discretized operator. It never forms that operator whole. dbar sends
 z^p zbar^q to z^p zbar^(q - 1), of frequency p - q + 1 on the circle, and
 Im f = 0 pairs frequency m with -m, so for a component that no connection
 entry touches (a flat one) the normal matrix is block-diagonal over
 |p - q|: its spectrum is the union of one small SVD per |p - q|, the same
 for every flat component. The components that connection entries a_ji
-touch take one SVD of their rows and columns together, also when the
-entries split them into independent groups: per-group SVDs would make the
-cost depend cubically on how a connection happens to split, so that two
-connections touching the same components could differ fourfold. The rank
-is cut against the largest singular value of all blocks.
+touch form one block together, also when the entries split them into
+independent groups: per-group solves would make the cost depend cubically
+on how a connection happens to split, so that two connections touching the
+same components could differ fourfold. That block is kept as its complex
+interior part and its real boundary rows; its spectrum comes from the
+eigenvalues of its Gram matrix, with the values near the kernel recomputed
+by a Ritz pass (``_operator_spectrum``). The rank is cut against the
+largest singular value of all blocks.
 The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
 need no frame object: pairing them against f_zbar gives holomorphic
 coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked with
@@ -91,10 +94,12 @@ def _monomial_scale(p, q):
 def _checked_connection(connection, dim):
     """The connection with int components and exponents and complex
     coefficients; ValueError names the offending key."""
-    if not isinstance(connection or {}, dict):
-        raise ValueError(f"connection must be a dict, got {connection!r}")
+    if connection is None:
+        connection = {}
+    if not isinstance(connection, dict):
+        raise ValueError(f"connection must be a dict or None, got {connection!r}")
     conn = {}
-    for key, poly in (connection or {}).items():
+    for key, poly in connection.items():
         try:
             if not (isinstance(key, tuple) and len(key) == 2 and isinstance(poly, dict)):
                 raise ValueError("not a pair (j, i) mapped to a dict of monomials")
@@ -117,9 +122,12 @@ def _checked_connection(connection, dim):
 
 
 def _real_operator(comps, conn, degree):
-    """Real matrix of f -> (dbar f + a f, Im f on the circle) on the listed
-    components; the unknowns are the real and imaginary parts of the
-    coefficients of the L^2-normalised monomials of degree <= degree.
+    """The operator f -> (dbar f + a f, Im f on the circle) on the listed
+    components as a complex interior block A and a real boundary block B.
+    The real unknowns are the real parts, then the imaginary parts, of the
+    coefficients of the L^2-normalised monomials of degree <= degree; the
+    real operator is [realify(A); B] with realify(A) = [[Re A, -Im A],
+    [Im A, Re A]], which is never formed.
 
     dbar z^p zbar^q = q z^p zbar^(q - 1), and the entry a_ji term
     (p_a, q_a) sends z^p zbar^q of component j to z^(p + p_a) zbar^(q + q_a)
@@ -162,7 +170,72 @@ def _real_operator(comps, conn, degree):
     sin = np.tile(freq > 0, g)
     bnd[row[sin] + degree, col[sin]] = np.tile(np.sqrt(np.pi) * np.sign(p - q) * inv_s,
                                                g)[sin]
-    return np.vstack([np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]]), bnd])
+    return a_c, bnd
+
+
+# singular values below REFINE_CUT sigma_0 come from the Ritz pass; its
+# subspace also holds those up to GUARD REFINE_CUT sigma_0, so the directions
+# it leaves out shrink by (1 / GUARD)^2 or faster per inverse iteration
+REFINE_CUT = 1e-3
+GUARD = 10.0
+RITZ_TOL = 1e-14
+MAX_RITZ_ITERATIONS = 10
+
+
+def _operator_spectrum(a, bnd):
+    """Singular values, descending, of the real operator [realify(a); bnd].
+
+    The Gram matrix is realify(a^H a) + bnd^T bnd (realify is an algebra
+    homomorphism and realify(a^H) = realify(a)^T), and one values-only
+    eigensolve gives every singular value as sqrt(lambda), with an error of
+    about eps sigma_0^2 / sigma. That is too coarse near the kernel, so the
+    values below REFINE_CUT sigma_0 are recomputed by _ritz_values.
+    """
+    m = a.shape[1]
+    gram = bnd.T @ bnd
+    h = a.conj().T @ a
+    gram[:m, :m] += h.real
+    gram[m:, m:] += h.real
+    gram[m:, :m] += h.imag
+    gram[:m, m:] -= h.imag
+    del h
+    lam = np.linalg.eigvalsh(gram)
+    svals = np.sqrt(np.maximum(lam, 0.0))
+    refine = int(np.searchsorted(svals, REFINE_CUT * svals[-1]))
+    if refine:
+        width = int(np.searchsorted(svals, GUARD * REFINE_CUT * svals[-1]))
+        svals[:refine] = _ritz_values(a, bnd, gram, lam, refine, width)
+    return svals[::-1]
+
+
+def _ritz_values(a, bnd, gram, lam, count, width):
+    """The count smallest singular values, ascending, of [realify(a); bnd]:
+    those of the operator on an orthonormal basis V of the eigenvectors of
+    its Gram matrix for the width smallest eigenvalues lam (ascending).
+
+    V comes from inverse subspace iteration on gram + mu I, mu = eps
+    lambda_max (gram is shifted in place), from a fixed pseudo-random start;
+    each pass applies realify(a) as one complex product and takes the
+    values of the thin product. A pass shrinks the rest of the spectrum by
+    rate = (lam[count - 1] + mu) / (lam[width] + mu) against the values
+    wanted, so the iteration stops once the last change, times
+    rate / (1 - rate), is below RITZ_TOL sigma_0.
+    """
+    m = a.shape[1]
+    mu = np.finfo(float).eps * lam[-1]
+    gram[np.diag_indices_from(gram)] += mu
+    rate = (max(lam[count - 1], 0.0) + mu) / (lam[width] + mu)
+    tol = RITZ_TOL * np.sqrt(lam[-1]) * (1.0 - rate) / rate
+    v = np.random.default_rng(0).standard_normal((gram.shape[0], width))
+    theta = None
+    for _ in range(MAX_RITZ_ITERATIONS):
+        v = np.linalg.qr(np.linalg.solve(gram, v))[0]
+        z = a @ (v[:m] + 1j * v[m:])
+        last, theta = theta, np.linalg.svd(np.vstack([z.real, z.imag, bnd @ v]),
+                                           compute_uv=False)[::-1][:count]
+        if last is not None and np.max(np.abs(theta - last)) <= tol:
+            break
+    return theta
 
 
 def dbar_kernel_dimension(n: int, degree: int = 6,
@@ -183,8 +256,9 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
     2 * 2n * (degree + 1)(degree + 2) / 2 singular values, descending.
 
     The spectrum is assembled block by block (see the module docstring):
-    one SVD for the components the connection touches, and for the flat
-    components one small SVD per |p - q|, shared by all of them.
+    one Gram eigensolve and a Ritz pass for the components the connection
+    touches, and for the flat components one small SVD per |p - q|, shared
+    by all of them.
     """
     require_number("n", n, integer=True, minimum=1)
     require_number("degree", degree, integer=True)
@@ -204,11 +278,11 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
     coupled = sorted({c for key in conn for c in key})
     spectra = []
     if coupled:
-        spectra.append(np.linalg.svd(_real_operator(coupled, conn, degree),
-                                     compute_uv=False))
+        spectra.append(_operator_spectrum(*_real_operator(coupled, conn, degree)))
     n_flat = dim - len(coupled)
     if n_flat:
-        flat = _real_operator([0], {}, degree)
+        a_c, bnd = _real_operator([0], {}, degree)
+        flat = np.vstack([np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]]), bnd])
         p, q = _monomials(degree)
         freq = np.tile(np.abs(p - q), 2)
         blocks = [np.linalg.svd(flat[:, freq == k], compute_uv=False)

@@ -305,6 +305,9 @@ MALFORMED_CONFIGS = {
     "domain-coef-null": {"action": "levi", "map": {"n": 2, "coords": [[F3_TERM], []]},
                          "domain": {"n": 2, "terms": [{"exponents": [2, 0, 0, 0],
                                                        "coef": None}]}},
+    "deterministic-string": {"action": "energy", "map": "f1", "deterministic": "no"},
+    "map-and-domain-dimensions": {"action": "certify", "domain": "ball4",
+                                  "map": {"n": 1, "coords": [[F3_TERM]]}},
 }
 
 
@@ -319,6 +322,19 @@ def test_cli_malformed_values_are_errors(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+@pytest.mark.parametrize("top", [[1, 2], [["map", "f1"]], "f1", 3, None])
+def test_cli_config_must_be_an_object(top, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(top))
+    code = main(["energy", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "JSON object" in lines[0]
 
 
 def test_cli_huge_exponent_domain_exits_cleanly(tmp_path, capsys):

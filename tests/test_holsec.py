@@ -1,11 +1,20 @@
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dbardisk import holsec
 from dbardisk import secondvar as sv
 from dbardisk.diskmap import DiskGrid, DiskMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
 from dbardisk.geometry import apply_j, hermitian
 from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402  (the benchmark's seeded connections)
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +126,159 @@ def test_kernel_matches_dense_assembly(case):
     assert np.max(np.abs(svals - svals_dense)) <= 1e-12 * svals_dense[0]
 
 
-def _svd_widths(monkeypatch, *args, **kwargs):
-    widths = []
-    svd = np.linalg.svd
+def _solver_shapes(monkeypatch, *args, **kwargs):
+    """Shapes of the matrices passed to np.linalg.svd and to
+    np.linalg.eigvalsh by one kernel call."""
+    shapes = {"svd": [], "eigvalsh": []}
 
-    def spy(a, *svd_args, **svd_kwargs):
-        widths.append(a.shape[1])
-        return svd(a, *svd_args, **svd_kwargs)
+    def spy(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+        def call(a, *solver_args, **solver_kwargs):
+            shapes[name].append(a.shape)
+            return solver(a, *solver_args, **solver_kwargs)
+
+        return call
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, spy(name))
     dbar_kernel_dimension(*args, **kwargs)
     monkeypatch.undo()
-    return sorted(widths, reverse=True)
+    return shapes
 
 
 def test_kernel_takes_block_svds(monkeypatch):
     # flat components split by |p - q|: no block wider than 4 (d + 1)
     degree = 13
-    widths = _svd_widths(monkeypatch, 3, degree=degree)
-    assert widths and max(widths) <= 4 * (degree + 1)
-    # the touched components 0-4 (two independent groups) take one SVD
-    # together, as wide as they are (real and imaginary parts of every
-    # monomial); the flat component 5 in blocks
-    n_mono = 28
+    shapes = _solver_shapes(monkeypatch, 3, degree=degree)
+    assert shapes["svd"] and max(w for _, w in shapes["svd"]) <= 4 * (degree + 1)
+    assert shapes["eigvalsh"] == []
+    # the touched components 0-4 (two independent groups) form one
+    # eigenvalue problem together, as wide as they are (real and imaginary
+    # parts of every monomial); the flat component 5 keeps its blocks of
+    # 2 * 28 + 13 rows, which hold each of its 2 * 28 unknowns once; the
+    # Ritz pass adds one thin SVD per inverse iteration, two here, on the
+    # near-kernel of the coupled block (one real constant per component)
+    n_mono, flat_rows = 28, 2 * 28 + 13
     conn = {(0, 1): LINEAR, (2, 1): LINEAR, (3, 4): LINEAR}
-    widths = _svd_widths(monkeypatch, 3, degree=6, connection=conn)
-    assert widths[0] == 2 * 5 * n_mono
-    assert max(widths[1:]) <= 4 * 7
-    assert sum(widths) == 2 * 6 * n_mono
+    small = {key: {pq: 1e-3 * c for pq, c in poly.items()} for key, poly in conn.items()}
+    for connection in (conn, small):
+        shapes = _solver_shapes(monkeypatch, 3, degree=6, connection=connection)
+        assert shapes["eigvalsh"] == [(2 * 5 * n_mono, 2 * 5 * n_mono)]
+        flat = [w for rows, w in shapes["svd"] if rows == flat_rows]
+        ritz = [w for rows, w in shapes["svd"] if rows != flat_rows]
+        assert max(flat) <= 4 * 7 and sum(flat) == 2 * n_mono
+        assert ritz == [5, 5]
+
+
+def _realify(c):
+    return np.block([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _synthetic_operator(complex_svals, real_svals, seed, mix=True):
+    """A complex interior block a and a real boundary block bnd whose real
+    operator [realify(a); bnd] has the singular values complex_svals (each
+    twice, as realify doubles them) and real_svals: a acts on the complex
+    span of some columns of a unitary W and bnd on the real span of the
+    others. Without mix, W is the identity, so a zero value leaves a zero
+    column and the Gram matrix is exactly singular."""
+    rng = np.random.default_rng(seed)
+    s_a, s_b = np.asarray(complex_svals, float), np.asarray(real_svals, float)
+    k1, k2 = s_a.size, s_b.size // 2
+    n = k1 + k2
+
+    def unitary(rows, cols, complex_=True):
+        x = rng.standard_normal((rows, cols))
+        if complex_:
+            x = x + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(x)[0]
+
+    w = unitary(n, n) if mix else np.eye(n)
+    a = (unitary(k1 + 3, k1) * s_a) @ w[:, :k1].conj().T
+    w2 = w[:, k1:]
+    basis = np.hstack([np.vstack([w2.real, w2.imag]), np.vstack([-w2.imag, w2.real])])
+    bnd = (unitary(2 * k2 + 5, 2 * k2, complex_=False) * s_b) @ basis.T
+    return a, bnd
+
+
+SPREAD = np.geomspace(1e-1, 1e-14, 30)
+CUT = holsec.REFINE_CUT
+SYNTHETIC_SPECTRA = {
+    # exact zeros: zero columns, a singular Gram matrix
+    "exact-zeros": ([1.0, 0.5, 0.0, 0.0, 1e-3, 0.0], [0.7, 0.0, 0.0, 1e-12], False),
+    "spread": (np.concatenate([[1.0], SPREAD[::2]]), np.append(SPREAD[1::2], 0.2), True),
+    "cluster-at-refine-cut": (np.concatenate([[1.0], CUT * np.geomspace(0.5, 2.0, 9),
+                                              [1e-13, 0.0]]),
+                              CUT * np.geomspace(0.6, 1.7, 8), True),
+    "cluster-at-guard-edge": (np.concatenate([[1.0, 1e-9], CUT * holsec.GUARD
+                                              * np.geomspace(0.7, 1.4, 7)]),
+                              np.concatenate([[0.3, 1e-11],
+                                              CUT * np.geomspace(0.9, 1.1, 6)]), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_SPECTRA))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_operator_spectrum_matches_dense_svd(case, seed):
+    complex_svals, real_svals, mix = SYNTHETIC_SPECTRA[case]
+    a, bnd = _synthetic_operator(complex_svals, real_svals, seed, mix=mix)
+    svals = holsec._operator_spectrum(a, bnd)
+    dense = np.linalg.svd(np.vstack([_realify(a), bnd]), compute_uv=False)
+    expect = np.sort(np.concatenate([complex_svals, complex_svals, real_svals]))[::-1]
+    assert svals.shape == dense.shape == expect.shape
+    assert np.all(np.diff(svals) <= 0)
+    assert np.max(np.abs(svals - dense)) <= 1e-12 * dense[0]
+    assert np.max(np.abs(svals - expect)) <= 1e-12 * expect[0]
+    assert np.sum(svals > 1e-8 * svals[0]) == np.sum(dense > 1e-8 * dense[0])
+
+
+def test_operator_spectrum_refines_the_near_kernel():
+    # below the cut sqrt(lambda) of the Gram eigenvalues is only good to
+    # about 1e-8 sigma_0; the Ritz values resolve what lies beneath it
+    a, bnd = _synthetic_operator([1.0, 3e-10, 2e-13], [0.4, 5e-12], seed=2)
+    svals = holsec._operator_spectrum(a, bnd)
+    expect = [3e-10, 3e-10, 5e-12, 2e-13, 2e-13]
+    assert np.max(np.abs(svals[-5:] - expect)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,degree,seed", [(1, 16, 0), (1, 16, 1), (1, 16, 2),
+                                            (2, 11, 0), (2, 11, 1), (2, 11, 2),
+                                            (3, 13, 0)])
+def test_connected_rungs_match_dense_assembly(n, degree, seed):
+    conn = workloads.seeded_connection(np.random.default_rng(seed), n)
+    kdim, svals = dbar_kernel_dimension(n, degree=degree, connection=conn,
+                                        return_details=True)
+    kdim_dense, svals_dense = _dense_kernel(n, degree=degree, connection=conn)
+    assert kdim == kdim_dense == 2 * n
+    assert np.max(np.abs(svals - svals_dense)) <= 1e-12 * svals_dense[0]
+
+
+def test_connected_spectrum_is_deterministic():
+    conn = workloads.seeded_connection(np.random.default_rng(4), 2)
+    first = dbar_kernel_dimension(2, degree=11, connection=conn, return_details=True)[1]
+    again = dbar_kernel_dimension(2, degree=11, connection=conn, return_details=True)[1]
+    assert np.array_equal(first, again)
+
+
+def test_connected_kernel_memory():
+    # one dense SVD of the whole real operator (1602 x 1260 at n = 3,
+    # degree 13) peaked at 37.8 MiB; the Gram route stays below that
+    conn = workloads.seeded_connection(np.random.default_rng(0), 3)
+    tracemalloc.start()
+    try:
+        assert dbar_kernel_dimension(3, degree=13, connection=conn) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 37.8 * 2**20
 
 
 MALFORMED_KERNEL_INPUTS = {
     "connection-not-a-dict": {"connection": [((0, 1), {(0, 0): 1.0})]},
+    "connection-empty-list": {"connection": []},
+    "connection-zero": {"connection": 0},
+    "connection-empty-string": {"connection": ""},
+    "connection-false": {"connection": False},
     "key-negative-source": {"connection": {(-1, 0): {(0, 0): 1.0}}},
     "key-negative-target": {"connection": {(0, -2): {(0, 0): 1.0}}},
     "key-out-of-range": {"connection": {(0, 2): {(0, 0): 1.0}}},
