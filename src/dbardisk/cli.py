@@ -106,7 +106,9 @@ def main(argv=None) -> int:
         print(f"refusal: {exc}", file=sys.stderr)
         return 2
     except (DbarDiskError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     sys.stdout.write(text)
     return 0

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diskmap import DiskMap, derivatives
+from .diskmap import DiskMap
 from .geometry import DefiningFunction, apply_j, boundary_data
 
 __all__ = [
+    "BoundaryState",
+    "boundary_state",
     "CriticalityReport",
     "harmonic_residual",
     "boundary_condition",
@@ -50,23 +52,53 @@ def harmonic_residual(f: DiskMap) -> float:
     return float(np.max(mags))
 
 
-def boundary_condition(f: DiskMap, df: DefiningFunction, tol_boundary: float = 1e-9,
-                       tol_degenerate: float = 1e-12):
+@dataclass
+class BoundaryState:
+    """Per-boundary-node geometry of a pair (f, df), shared by the criticality
+    diagnostics and every index-form evaluation. The arrays are read-only."""
+
+    nu: np.ndarray          # (n_theta, 2n)
+    grad_norm: np.ndarray   # (n_theta,)
+    lam: np.ndarray         # (n_theta,)
+    hess: np.ndarray        # (n_theta, 2n, 2n)
+    residual: float         # sup |f_r + J f_theta - lam nu|
+
+
+def boundary_state(f: DiskMap, df: DefiningFunction) -> BoundaryState:
+    """nu, |grad rho| and Hess rho at the boundary image, from one checked
+    ``boundary_data`` evaluation, lambda = <f_r + J f_theta, nu> and the
+    residual of the free-boundary condition.
+
+    Cached on f like its derivatives, in one slot for the last domain asked
+    about (compared by identity): another domain recomputes it, and a
+    failed check raises without touching the slot.
+    """
+    cached = f._boundary_state
+    if cached is not None and cached[0] is df:
+        return cached[1]
+    d = f.derivatives()
+    b = d.boundary_f_r + apply_j(d.boundary_f_theta)
+    bd = boundary_data(df, f.boundary)
+    lam = np.sum(b * bd.nu, axis=-1)
+    residual = float(np.max(np.linalg.norm(b - lam[:, None] * bd.nu, axis=-1)))
+    for a in (bd.nu, bd.grad_norm, lam, bd.hess):
+        a.flags.writeable = False
+    state = BoundaryState(nu=bd.nu, grad_norm=bd.grad_norm, lam=lam, hess=bd.hess,
+                          residual=residual)
+    f._boundary_state = (df, state)
+    return state
+
+
+def boundary_condition(f: DiskMap, df: DefiningFunction):
     """Free-boundary residual and the multiplier lambda(theta).
 
     At the boundary nodes takes nu = grad rho / |grad rho| at the image
-    points from ``boundary_data`` (which checks |rho| <= tol_boundary and
-    |grad rho| >= tol_degenerate), lambda = <f_r + J f_theta, nu> and the
+    points (``boundary_state``), lambda = <f_r + J f_theta, nu> and the
     residual |f_r + J f_theta - lambda nu|. Returns (sup residual, lambda
     samples).
     """
-    d = f.derivatives()
-    b = d.boundary_f_r + apply_j(d.boundary_f_theta)
-    nu = boundary_data(df, f.boundary, tol_boundary=tol_boundary,
-                       tol_degenerate=tol_degenerate).nu
-    lam = np.sum(b * nu, axis=-1)
-    res = np.linalg.norm(b - lam[:, None] * nu, axis=-1)
-    return float(np.max(res)), lam
+    state = boundary_state(f, df)
+    return state.residual, state.lam
 
 
 def conformality(f: DiskMap) -> float:
@@ -100,7 +132,7 @@ class CriticalityReport:
 
 
 def is_critical(f: DiskMap, df: DefiningFunction, tol_h: float = 1e-7,
-                tol_b: float = 1e-7, tol_boundary: float = 1e-9):
+                tol_b: float = 1e-7):
     """Decide criticality by residual thresholds; returns (bool, report).
 
     critical <=> harmonic_residual < tol_h and boundary_residual < tol_b.
@@ -108,7 +140,7 @@ def is_critical(f: DiskMap, df: DefiningFunction, tol_h: float = 1e-7,
     recorded as a warning (both must hold for genuine critical points).
     """
     h_res = harmonic_residual(f)
-    b_res, lam = boundary_condition(f, df, tol_boundary=tol_boundary)
+    b_res, lam = boundary_condition(f, df)
     defect = conformality(f)
     lam_min = float(np.min(lam))
     critical = bool(h_res < tol_h and b_res < tol_b)

@@ -258,6 +258,7 @@ class DiskMap:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("map values contain non-finite entries")
         self._derivs = None
+        self._boundary_state = None  # (df, state), cached by criticality.boundary_state
 
     @classmethod
     def from_polynomial(cls, pm: PolynomialMap, grid: DiskGrid, name: str = "poly") -> "DiskMap":

@@ -359,24 +359,24 @@ def _complement_basis(a_hat: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def boundary_data(
-    df: DefiningFunction,
-    points,
-    tol_boundary: float = 1e-9,
-    tol_degenerate: float = 1e-12,
-) -> BoundaryPointData:
+# largest |rho| of a point taken to lie on {rho = 0}, and smallest |grad rho|
+TOL_BOUNDARY = 1e-9
+TOL_DEGENERATE = 1e-12
+
+
+def boundary_data(df: DefiningFunction, points) -> BoundaryPointData:
     """Normal, complex tangent space and Levi form at points of {rho = 0}.
 
     points has shape (..., 2n); rho, its gradient and its Hessian are
-    evaluated once for all of them. A point with |rho| > tol_boundary
+    evaluated once for all of them. A point with |rho| > TOL_BOUNDARY
     raises ConstraintViolationError and one with |grad rho| <
-    tol_degenerate raises DegenerateBoundaryError; both name the worst
+    TOL_DEGENERATE raises DegenerateBoundaryError; both name the worst
     node as a flat index over the leading axes.
     """
     p = np.asarray(points, dtype=float)
     rho = np.asarray(df.rho(p), dtype=float)
     worst = int(np.argmax(np.abs(rho)))
-    if not abs(rho.flat[worst]) <= tol_boundary:
+    if not abs(rho.flat[worst]) <= TOL_BOUNDARY:
         raise ConstraintViolationError(
             f"boundary image off the hypersurface: |rho| = "
             f"{abs(rho.flat[worst]):.3e} at node {worst}",
@@ -386,7 +386,7 @@ def boundary_data(
     grad = np.asarray(df.grad(p), dtype=float)
     gnorm = np.linalg.norm(grad, axis=-1)
     low = int(np.argmin(gnorm))
-    if not gnorm.flat[low] >= tol_degenerate:
+    if not gnorm.flat[low] >= TOL_DEGENERATE:
         raise DegenerateBoundaryError(f"|grad rho| = {gnorm.flat[low]:.3e} at node {low}")
     nu = grad / gnorm[..., None]
     n = df.n
@@ -428,7 +428,6 @@ def classify_pseudoconvexity(
     samples,
     k: int = 1,
     tol_pc: float = 1e-9,
-    tol_boundary: float = 1e-9,
 ) -> PseudoconvexityReport:
     """Classify strict/weak/non k-pseudoconvexity at sampled points (..., 2n).
 
@@ -443,7 +442,7 @@ def classify_pseudoconvexity(
         raise ValueError("need at least one boundary sample")
     if k < 1 or k > df.n - 1:
         raise InvalidSubspaceError(f"k must satisfy 1 <= k <= n-1 = {df.n - 1}, got {k}")
-    eigs = np.linalg.eigvalsh(boundary_data(df, samples, tol_boundary=tol_boundary).levi)
+    eigs = np.linalg.eigvalsh(boundary_data(df, samples).levi)
     margin = float(np.min(np.sum(eigs[..., :k], axis=-1)))
     if margin > tol_pc:
         cls = "strict"

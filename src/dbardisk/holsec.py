@@ -53,12 +53,7 @@ from .errors import (
     require_number,
 )
 from .geometry import DefiningFunction, classify_pseudoconvexity, hermitian
-from .secondvar import (
-    VariationField,
-    boundary_state,
-    index_form_complex,
-    index_form_real,
-)
+from .secondvar import VariationField, index_form_complex, index_form_real
 
 __all__ = [
     "USections",
@@ -133,8 +128,8 @@ def _real_operator(comps, conn, degree):
     (p_a, q_a) sends z^p zbar^q of component j to z^(p + p_a) zbar^(q + q_a)
     of component i. The boundary rows are the Fourier coefficients of Im f:
     for k = |p - q| the cosine row takes Im a and the sine row
-    sign(p - q) Re a, weighted so that their Gram matrix equals that of the
-    collocated rows (exact for n_boundary > 2 degree).
+    sign(p - q) Re a, weighted so that their Gram matrix equals that of
+    Im f collocated at any number N > 2 degree of uniform angles.
     """
     p, q = _monomials(degree)
     g, n_mono = len(comps), p.size
@@ -239,7 +234,6 @@ def _ritz_values(a, bnd, gram, lam, count, width):
 
 
 def dbar_kernel_dimension(n: int, degree: int = 6,
-                          n_boundary: Optional[int] = None,
                           connection: Optional[dict] = None,
                           svd_threshold: float = 1e-8,
                           return_details: bool = False):
@@ -247,13 +241,14 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
     with the boundary condition Im f = 0.
 
     The 2n complex component functions are expanded in monomials z^p zbar^q
-    of total degree <= degree; the boundary condition is collocated at
-    n_boundary uniform angles. connection maps (j, i) to {(p, q): coeff}
-    polynomial coefficients of the (0,1)-form entries a_ji (default zero,
-    the flat trivialization). Kernel dimension counts real dimensions: the
-    singular values at or below svd_threshold times the largest one; in the
-    flat case it is 2n (the real constants). With return_details, also all
-    2 * 2n * (degree + 1)(degree + 2) / 2 singular values, descending.
+    of total degree <= degree; the boundary condition enters as the
+    Fourier coefficients of Im f on the circle. connection maps (j, i) to
+    {(p, q): coeff} polynomial coefficients of the (0,1)-form entries a_ji
+    (default zero, the flat trivialization). Kernel dimension counts real
+    dimensions: the singular values at or below svd_threshold times the
+    largest one; in the flat case it is 2n (the real constants). With
+    return_details, also all 2 * 2n * (degree + 1)(degree + 2) / 2 singular
+    values, descending.
 
     The spectrum is assembled block by block (see the module docstring):
     one Gram eigensolve and a Ritz pass for the components the connection
@@ -264,13 +259,6 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
     require_number("degree", degree, integer=True)
     if degree < 1:
         raise ResolutionError("polynomial degree must be >= 1")
-    if n_boundary is None:
-        n_boundary = 4 * degree + 8
-    require_number("n_boundary", n_boundary, integer=True)
-    if n_boundary < 4 * degree + 4:
-        raise ResolutionError(
-            f"need at least {4 * degree + 4} boundary samples for degree {degree}"
-        )
     if not 0.0 < require_number("svd_threshold", svd_threshold) < 1.0:
         raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
     dim = 2 * n
@@ -435,14 +423,13 @@ def certify_index(f: DiskMap, df: DefiningFunction, k: int = 1, *,
             "holomorphic pairing coefficients fail the dbar check "
             f"(sup {us.dbar_coefficient_sup:.3e}); is the map harmonic?"
         )
-    state = boundary_state(f, df)
-    values = [index_form_complex(f, df, U, state=state) for U in us.sections]
+    values = [index_form_complex(f, df, U) for U in us.sections]
     tol_cert = 1e-8 * max(1.0, max(abs(v) for v in values))
 
     crosscheck = []
     for U in us.sections:
-        rr = index_form_real(f, df, U.real_part, state=state)
-        ri = index_form_real(f, df, U.imag_part, state=state)
+        rr = index_form_real(f, df, U.real_part)
+        ri = index_form_real(f, df, U.imag_part)
         crosscheck.append((rr, ri))
 
     if mode == "pc":

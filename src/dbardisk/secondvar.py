@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .criticality import BoundaryState, boundary_state
 from .diskmap import DiskGrid, DiskMap, dbar_density
 from .errors import (
     AdmissibilityError,
@@ -47,7 +48,7 @@ from .errors import (
     require_number,
     require_objects,
 )
-from .geometry import DefiningFunction, apply_j, boundary_data, hermitian
+from .geometry import DefiningFunction, apply_j, hermitian
 
 __all__ = [
     "VariationField",
@@ -159,31 +160,11 @@ class VariationField:
 
 
 # ---------------------------------------------------------------------------
-# boundary state of a critical pair (f, df)
-
-
-@dataclass
-class BoundaryState:
-    """Per-boundary-node geometry shared by all index-form evaluations."""
-
-    nu: np.ndarray          # (n_theta, 2n)
-    grad_norm: np.ndarray   # (n_theta,)
-    lam: np.ndarray         # (n_theta,)
-    hess: np.ndarray        # (n_theta, 2n, 2n)
-
-
-def boundary_state(f: DiskMap, df: DefiningFunction) -> BoundaryState:
-    """nu, |grad rho| and Hess rho at the boundary image, from one checked
-    ``boundary_data`` evaluation, and lambda = <f_r + J f_theta, nu>."""
-    d = f.derivatives()
-    b = d.boundary_f_r + apply_j(d.boundary_f_theta)
-    bd = boundary_data(df, f.boundary)
-    return BoundaryState(nu=bd.nu, grad_norm=bd.grad_norm,
-                         lam=np.sum(b * bd.nu, axis=-1), hess=bd.hess)
-
-
-# ---------------------------------------------------------------------------
 # admissibility
+
+# largest tangency defect sup |<V, nu>| (or sup |<<V, f_zbar>>|) of a field
+# the index forms and the Gram assembly accept
+TOL_ADM = 1e-7
 
 
 @dataclass
@@ -192,8 +173,8 @@ class AdmissibilityCheck:
     complex_sup: float
 
 
-def admissibility(V: VariationField, f: DiskMap, df: DefiningFunction,
-                  state: Optional[BoundaryState] = None) -> AdmissibilityCheck:
+def admissibility(V: VariationField, f: DiskMap,
+                  df: DefiningFunction) -> AdmissibilityCheck:
     """Tangency diagnostics of a variation field along the boundary.
 
     real_sup is sup_theta |<V, nu>| (variations must keep f(dD) on dN).
@@ -201,7 +182,7 @@ def admissibility(V: VariationField, f: DiskMap, df: DefiningFunction,
     criterion for V and J V to be velocities of admissible deformations of
     a critical map. For a complex input V, W = V itself.
     """
-    state = state or boundary_state(f, df)
+    state = boundary_state(f, df)
     vb = V.boundary
     if np.iscomplexobj(vb):
         w = vb
@@ -214,9 +195,9 @@ def admissibility(V: VariationField, f: DiskMap, df: DefiningFunction,
     return AdmissibilityCheck(real_sup=real_sup, complex_sup=complex_sup)
 
 
-def _require_admissible(V, f, df, state, tol_adm):
-    chk = admissibility(V, f, df, state=state)
-    if chk.real_sup > tol_adm:
+def _require_admissible(V, f, df):
+    chk = admissibility(V, f, df)
+    if chk.real_sup > TOL_ADM:
         raise AdmissibilityError(
             f"field {V.label!r} is not tangent to the boundary "
             f"(sup |<V, nu>| = {chk.real_sup:.3e})",
@@ -234,10 +215,7 @@ def _hess_pair(state: BoundaryState, a: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
-                    Vb: Optional[VariationField] = None, *,
-                    state: Optional[BoundaryState] = None,
-                    check_admissibility: bool = True,
-                    tol_adm: float = 1e-7) -> float:
+                    Vb: Optional[VariationField] = None) -> float:
     """Polarized index form I(V, Vb) of the second variation at f.
 
     With the hypersurface acceleration policy the boundary term is
@@ -245,15 +223,14 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
     acceleration array on V is honored for the diagonal I(V, V). The
     circulation term is symmetrized over (V, Vb).
     """
-    state = state or boundary_state(f, df)
+    state = boundary_state(f, df)
     grid = f.grid
     diagonal = Vb is None or Vb is V
     if np.iscomplexobj(V.boundary) or (not diagonal and np.iscomplexobj(Vb.boundary)):
         raise TypeError("index_form_real takes real fields; use index_form_complex")
-    if check_admissibility:
-        _require_admissible(V, f, df, state, tol_adm)
-        if not diagonal:
-            _require_admissible(Vb, f, df, state, tol_adm)
+    _require_admissible(V, f, df)
+    if not diagonal:
+        _require_admissible(Vb, f, df)
     W = V if diagonal else Vb
 
     vr, vt = V.gradients()
@@ -276,10 +253,7 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
     return 0.5 * (interior + acc_term + circ_term)
 
 
-def index_form_complex(f: DiskMap, df: DefiningFunction, V: VariationField, *,
-                       state: Optional[BoundaryState] = None,
-                       tol_adm: float = 1e-7,
-                       check_admissibility: bool = True) -> float:
+def index_form_complex(f: DiskMap, df: DefiningFunction, V: VariationField) -> float:
     """Hermitian index form on complex sections (flat curvature term).
 
     For admissible holomorphic (1,0) sections the interior and circulation
@@ -287,16 +261,15 @@ def index_form_complex(f: DiskMap, df: DefiningFunction, V: VariationField, *,
     1/2 int lambda <<grad_V Vbar, nu>> dtheta, negative whenever the Levi
     form is positive along V and lambda > 0.
     """
-    state = state or boundary_state(f, df)
+    state = boundary_state(f, df)
     grid = f.grid
-    if check_admissibility:
-        chk = admissibility(V, f, df, state=state)
-        if chk.complex_sup > tol_adm:
-            raise AdmissibilityError(
-                f"section {V.label!r} is not admissible "
-                f"(sup |<<V, f_zbar>>| = {chk.complex_sup:.3e})",
-                measured_sup=chk.complex_sup,
-            )
+    chk = admissibility(V, f, df)
+    if chk.complex_sup > TOL_ADM:
+        raise AdmissibilityError(
+            f"section {V.label!r} is not admissible "
+            f"(sup |<<V, f_zbar>>| = {chk.complex_sup:.3e})",
+            measured_sup=chk.complex_sup,
+        )
     # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2, so
     # 2 |dV/dzbar|^2 = |V_r + i V_theta / r|^2 / 2
     vr, vt = V.gradients()
@@ -364,9 +337,7 @@ def _separable_interior(grid: DiskGrid, basis) -> np.ndarray:
 
 
 def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationField],
-                  *, tol_neg_rel: float = 1e-8, tol_adm: float = 1e-7,
-                  description: str = "", state: Optional[BoundaryState] = None
-                  ) -> GramSpectrum:
+                  *, tol_neg_rel: float = 1e-8, description: str = "") -> GramSpectrum:
     """Gram matrix of polarized index-form values over a variation basis.
 
     negative_count uses the relative threshold tol_neg_rel * max |eigenvalue|;
@@ -378,14 +349,14 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     basis = list(basis)
     if not basis:
         raise EmptyBasisError("need at least one variation field")
-    state = state or boundary_state(f, df)
+    state = boundary_state(f, df)
     for V in basis:
         if np.iscomplexobj(V.boundary):
             raise TypeError(
                 f"Gram basis must be real fields (got complex {V.label!r}); "
                 "split sections into real and imaginary parts"
             )
-        _require_admissible(V, f, df, state, tol_adm)
+        _require_admissible(V, f, df)
 
     m = len(basis)
     grid = f.grid
@@ -486,18 +457,19 @@ def fd_second_variation(family: Callable[[float], DiskMap],
 # largest |rho| a projected boundary point may keep: the default
 # tol_constraint of fd_second_variation, which evaluates these families
 PROJECTION_TOL = 1e-8
+PROJECTION_STEPS = 3
 
 
-def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray,
-                             iterations: int = 3) -> np.ndarray:
-    """Newton steps along grad rho pulling points onto {rho = 0}.
+def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray) -> np.ndarray:
+    """PROJECTION_STEPS Newton steps along grad rho pulling points onto
+    {rho = 0}.
 
     Raises ConstraintViolationError when some point still has
     |rho| > PROJECTION_TOL after the steps, so a far point is refused
     rather than returned off the hypersurface.
     """
     out = np.array(points, dtype=float)
-    for _ in range(iterations):
+    for _ in range(PROJECTION_STEPS):
         val = np.asarray(df.rho(out), dtype=float)[..., None]
         grad = np.asarray(df.grad(out), dtype=float)
         out = out - val * grad / np.sum(grad * grad, axis=-1, keepdims=True)
@@ -505,7 +477,7 @@ def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray,
     worst = int(np.argmax(np.abs(rho)))
     if not abs(rho.flat[worst]) <= PROJECTION_TOL:
         raise ConstraintViolationError(
-            f"{iterations} Newton steps leave |rho| = {abs(rho.flat[worst]):.3e} "
+            f"{PROJECTION_STEPS} Newton steps leave |rho| = {abs(rho.flat[worst]):.3e} "
             f"at node {worst}",
             worst_node=worst,
             worst_value=float(rho.flat[worst]),
@@ -513,17 +485,17 @@ def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray,
     return out
 
 
-def hypersurface_family(f: DiskMap, V: VariationField, df: DefiningFunction,
-                        blend_power: int = 4) -> Callable[[float], DiskMap]:
+def hypersurface_family(f: DiskMap, V: VariationField,
+                        df: DefiningFunction) -> Callable[[float], DiskMap]:
     """A deformation family t -> f + t V with boundary projected onto dN.
 
     The straight-line boundary trace is pulled back onto {rho = 0} by
     Newton projection and the correction is blended into the interior with
-    the profile r^blend_power, so F_0 = f and dF/dt|_0 = V exactly while
-    F_t(dD) stays on the hypersurface to projection accuracy.
+    the profile r^4, so F_0 = f and dF/dt|_0 = V exactly while F_t(dD)
+    stays on the hypersurface to projection accuracy.
     """
     grid = f.grid
-    blend = (grid.r**blend_power)[:, None, None]
+    blend = (grid.r**4)[:, None, None]
 
     def family(t: float) -> DiskMap:
         straight_b = f.boundary + t * V.boundary.real
@@ -590,14 +562,17 @@ class PolarPoly:
                     for t in require_objects("polar polynomial terms", spec.get("terms"))])
 
 
-def random_polar_poly(rng, kmax: int = 2, extra: int = 2, scale: float = 0.5,
-                      rim_zero: bool = False) -> PolarPoly:
-    """A random smooth polar polynomial, optionally vanishing on the rim."""
+def random_polar_poly(rng, rim_zero: bool = False) -> PolarPoly:
+    """A random smooth polar polynomial, optionally vanishing on the rim.
+
+    Frequencies |k| <= 2 with powers p = |k|, |k| + 2, |k| + 4 and
+    coefficients 0.5 (N(0, 1) + i N(0, 1)) / (1 + p + |k|).
+    """
     terms = []
-    for k in range(-kmax, kmax + 1):
-        for m in range(extra + 1):
+    for k in range(-2, 3):
+        for m in range(3):
             p = abs(k) + 2 * m
-            c = scale * (rng.normal() + 1j * rng.normal()) / (1 + p + abs(k))
+            c = 0.5 * (rng.normal() + 1j * rng.normal()) / (1 + p + abs(k))
             terms.append((p, k, c))
     poly = PolarPoly(terms)
     return poly.times_one_minus_r2() if rim_zero else poly
@@ -608,13 +583,14 @@ def random_polar_poly(rng, kmax: int = 2, extra: int = 2, scale: float = 0.5,
 
 
 def f4_family(sigma: PolarPoly, phi: PolarPoly, psi: PolarPoly, eta: PolarPoly,
-              grid: DiskGrid, tol_rim: float = 1e-10):
+              grid: DiskGrid):
     """Deformation family F_t of f4 driven by four scalar functions.
 
-    sigma must vanish on the rim (the family moves the boundary only inside
-    dN = {(x1-y2)^2 + (x2+y1)^2 = 1}); phi rotates the angular phase, psi
-    and eta translate along the flat tangent directions. Returns a callable
-    t -> DiskMap whose boundary trace lies on the hypersurface exactly.
+    sigma must vanish on the rim to 1e-10 (the family moves the boundary
+    only inside dN = {(x1-y2)^2 + (x2+y1)^2 = 1}); phi rotates the angular
+    phase, psi and eta translate along the flat tangent directions. Returns
+    a callable t -> DiskMap whose boundary trace lies on the hypersurface
+    exactly.
     """
     r = grid.r[:, None]
     t = grid.theta[None, :]
@@ -626,7 +602,7 @@ def f4_family(sigma: PolarPoly, phi: PolarPoly, psi: PolarPoly, eta: PolarPoly,
     ph_b = phi(1.0, grid.theta)
     ps_b = psi(1.0, grid.theta)
     et_b = eta(1.0, grid.theta)
-    if float(np.max(np.abs(sig_b))) > tol_rim:
+    if float(np.max(np.abs(sig_b))) > 1e-10:
         raise InvalidVariationError(
             f"sigma must vanish on the rim (sup {np.max(np.abs(sig_b)):.3e})"
         )
@@ -722,24 +698,27 @@ def f4_closed_forms(sigma, phi, psi, eta, grid: DiskGrid):
 # logarithmic cutoff
 
 
+# width in u of each quadratic end of the cutoff ramp
+RAMP_WIDTH = 0.05
+
+
 @dataclass
 class LogCutoff:
     """Radial cutoff vanishing on r <= eps^2, equal to 1 on r >= eps.
 
     In the log coordinate u = ln(r / eps^2) / |ln eps| the profile is a C^1
-    ramp h(u) with |h'| <= c = 1/(1 - ramp_width), so the radial derivative
+    ramp h(u) with |h'| <= c = 1/(1 - RAMP_WIDTH), so the radial derivative
     obeys |d/dr| <= c / (r |ln eps|), within the factor c <= 1.1 of the
     ideal log-cutoff bound (an exactly bounded smooth transition cannot
     reach 1; the Dirichlet integral keeps the 1/|ln eps| decay).
     """
 
     epsilon: float
-    ramp_width: float = 0.05
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < np.exp(-1.0)):
             raise ValueError(f"epsilon must lie in (0, 1/e), got {self.epsilon}")
-        self.c = 1.0 / (1.0 - self.ramp_width)
+        self.c = 1.0 / (1.0 - RAMP_WIDTH)
         self.log_eps = abs(np.log(self.epsilon))
 
     def _u(self, r):
@@ -747,7 +726,7 @@ class LogCutoff:
         return (np.log(np.maximum(r, 1e-300)) - 2.0 * np.log(self.epsilon)) / self.log_eps
 
     def _h(self, u):
-        w, c = self.ramp_width, self.c
+        w, c = RAMP_WIDTH, self.c
         u = np.clip(u, 0.0, 1.0)
         ramp_lo = c * u**2 / (2.0 * w)
         mid = c * (u - 0.5 * w)
@@ -755,7 +734,7 @@ class LogCutoff:
         return np.where(u < w, ramp_lo, np.where(u <= 1.0 - w, mid, ramp_hi))
 
     def _h_prime(self, u):
-        w, c = self.ramp_width, self.c
+        w, c = RAMP_WIDTH, self.c
         out = np.where(u < w, c * u / w, np.where(u <= 1.0 - w, c, c * (1.0 - u) / w))
         return np.where((u < 0.0) | (u > 1.0), 0.0, out)
 
@@ -773,7 +752,7 @@ class LogCutoff:
     @property
     def dirichlet_integral(self) -> float:
         """int_D |grad cutoff|^2 dx dy = 2 pi int_0^1 h'(u)^2 du / |ln eps|."""
-        w, c = self.ramp_width, self.c
+        w, c = RAMP_WIDTH, self.c
         h2 = c**2 * (1.0 - 4.0 * w / 3.0)
         return 2.0 * np.pi * h2 / self.log_eps
 
@@ -783,8 +762,8 @@ class LogCutoff:
         return float(np.max(np.abs(self.derivative(r)) * r * self.log_eps))
 
 
-def log_cutoff(epsilon: float, ramp_width: float = 0.05) -> LogCutoff:
-    return LogCutoff(epsilon=epsilon, ramp_width=ramp_width)
+def log_cutoff(epsilon: float) -> LogCutoff:
+    return LogCutoff(epsilon=epsilon)
 
 
 def _gauss_panel(a: float, b: float, order: int = 48):
@@ -793,8 +772,7 @@ def _gauss_panel(a: float, b: float, order: int = 48):
 
 
 def cutoff_stability_check(f: DiskMap, df: DefiningFunction, V: VariationField,
-                           eps_list: Sequence[float], *,
-                           state: Optional[BoundaryState] = None):
+                           eps_list: Sequence[float]):
     """Index-form transfer under the logarithmic cutoff.
 
     For a separable admissible field V computes I(cutoff * V, cutoff * V)
@@ -807,9 +785,8 @@ def cutoff_stability_check(f: DiskMap, df: DefiningFunction, V: VariationField,
     """
     if V.profile is None:
         raise InvalidVariationError("cutoff transfer needs a separable field")
-    state = state or boundary_state(f, df)
     grid = f.grid
-    base = index_form_real(f, df, V, state=state)
+    base = index_form_real(f, df, V)
 
     ang = V.angular
     ang_t = grid.theta_derivative(ang, axis=0)
@@ -904,8 +881,7 @@ def interior_bumps(grid: DiskGrid, n: int, count: int, kmax: int = 4):
     return fields
 
 
-def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *,
-                     kmax: int = 6, state: Optional[BoundaryState] = None):
+def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *, kmax: int = 6):
     """Deterministic admissible basis: projected tangent frames plus bumps.
 
     Boundary-tangent fields are the coordinate directions projected along
@@ -914,7 +890,7 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *,
     bumps once the frame modes are exhausted. Reproducible from
     (size, kmax).
     """
-    state = state or boundary_state(f, df)
+    state = boundary_state(f, df)
     grid = f.grid
     dim = 2 * f.n
     fields = []

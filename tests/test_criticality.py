@@ -3,11 +3,12 @@ import pytest
 
 from dbardisk.criticality import (
     boundary_condition,
+    boundary_state,
     conformality,
     harmonic_residual,
     is_critical,
 )
-from dbardisk.diskmap import DiskMap, PolynomialMap
+from dbardisk.diskmap import DiskMap, PolynomialMap, make_map
 from dbardisk.errors import ConstraintViolationError
 from dbardisk.geometry import DefiningFunction
 
@@ -61,6 +62,23 @@ def test_boundary_condition_off_surface(maps, cylinder):
     with pytest.raises(ConstraintViolationError) as err:
         boundary_condition(maps["f3"], cylinder)
     assert err.value.worst_node is not None
+
+
+def test_boundary_state_is_cached_per_domain(grid, ball, cylinder):
+    # fresh maps: the session maps carry states that other tests cached
+    f = make_map("f3", grid)
+    state = boundary_state(f, ball)
+    is_critical(f, ball)
+    assert boundary_state(f, ball) is state
+    assert not state.lam.flags.writeable
+    fresh = boundary_state(make_map("f3", grid), ball)
+    for name in ("nu", "grad_norm", "lam", "hess"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name))
+    assert state.residual == fresh.residual
+    # another domain is checked anew; its failure leaves the slot alone
+    with pytest.raises(ConstraintViolationError):
+        boundary_condition(f, cylinder)
+    assert boundary_state(f, ball) is state
 
 
 def test_boundary_residual_scale_invariance(maps, ball):

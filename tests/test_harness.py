@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbardisk import geometry
 from dbardisk.cli import main
 from dbardisk.errors import NonFiniteValueError, Refusal
 from dbardisk.harness import ACTIONS, ScenarioConfig, emit, run, to_json_text
@@ -33,6 +35,23 @@ def test_run_certify_f3_ball():
     cert = rep.results["certificate"]
     assert cert["certified_bound"] == 1
     assert len(cert["values"]) == 1  # n - 1 sections
+
+
+@pytest.mark.parametrize("action, passes", [("index", 1), ("critical", 1),
+                                             ("cutoff", 1), ("certify", 2)])
+def test_boundary_pass_runs_once_per_map_and_domain(action, passes, monkeypatch):
+    # certify's second pass is the Levi classification of the boundary image
+    original, calls = geometry.boundary_data, []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dbardisk") and vars(mod).get("boundary_data") is original:
+            monkeypatch.setattr(mod, "boundary_data", spy)
+    run(ScenarioConfig(action=action, domain="ball4", map="f3"))
+    assert len(calls) == passes
 
 
 def test_run_certify_refusal():
@@ -206,6 +225,9 @@ def test_cli_refusal_exit_code(capsys):
 
 def test_cli_error_exit_code(capsys):
     assert main(["energy", "--map", "f9"]) == 1
+    capsys.readouterr()
+    assert main(["energy", "--map", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown map 'nope'")
 
 
 def test_cli_config_file_and_out(tmp_path, capsys):

@@ -32,13 +32,14 @@ from dbardisk import (  # noqa: E402
 # per workload: the per-layer metrics its first operation must make nonzero
 EXPECTED_SPANS = {
     "gram_ladder": ["diskmap.grid_build_s", "secondvar.admissible_basis_s",
+                    "secondvar.boundary_state_s",
                     "secondvar.assemble_gram_s", "secondvar.eigvalsh_s",
                     "harness.run_s", "harness.serialize_s", "geometry.rho_eval_s"],
     "fredholm_ladder": ["holsec.kernel_assembly_s", "holsec.svd_s",
                         "holsec.svd_matrix_mb"],
     "certify_sweep": ["criticality.harmonic_residual_s",
-                      "criticality.boundary_condition_s", "harness.run_s",
-                      "geometry.rho_calls"],
+                      "criticality.boundary_condition_s", "secondvar.boundary_state_s",
+                      "harness.run_s", "geometry.rho_calls"],
     "sampled_oracles": ["holsec.build_U_s", "holsec.certify_index_s",
                         "secondvar.index_form_s", "secondvar.field_gradients_s",
                         "secondvar.boundary_state_s", "diskmap.derivatives_spectral_s",
@@ -56,6 +57,7 @@ def _originals():
         ("rho_call", geometry.PolynomialRho, "__call__"),
         ("rho_gradient", geometry.PolynomialRho, "gradient"),
         ("boundary_condition", criticality, "boundary_condition"),
+        ("boundary_state", criticality, "boundary_state"),
         ("gradients", secondvar.VariationField, "gradients"),
         ("assemble_gram", secondvar, "assemble_gram"),
         ("index_form_complex", secondvar, "index_form_complex"),
