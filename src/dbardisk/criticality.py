@@ -61,13 +61,14 @@ class BoundaryState:
     grad_norm: np.ndarray   # (n_theta,)
     lam: np.ndarray         # (n_theta,)
     hess: np.ndarray        # (n_theta, 2n, 2n)
+    levi: np.ndarray        # (n_theta, n-1, n-1), Levi form on the complex tangent
     residual: float         # sup |f_r + J f_theta - lam nu|
 
 
 def boundary_state(f: DiskMap, df: DefiningFunction) -> BoundaryState:
-    """nu, |grad rho| and Hess rho at the boundary image, from one checked
-    ``boundary_data`` evaluation, lambda = <f_r + J f_theta, nu> and the
-    residual of the free-boundary condition.
+    """nu, |grad rho|, Hess rho and the Levi form at the boundary image,
+    from one checked ``boundary_data`` evaluation, lambda =
+    <f_r + J f_theta, nu> and the residual of the free-boundary condition.
 
     Cached on f like its derivatives, in one slot for the last domain asked
     about (compared by identity): another domain recomputes it, and a
@@ -81,10 +82,10 @@ def boundary_state(f: DiskMap, df: DefiningFunction) -> BoundaryState:
     bd = boundary_data(df, f.boundary)
     lam = np.sum(b * bd.nu, axis=-1)
     residual = float(np.max(np.linalg.norm(b - lam[:, None] * bd.nu, axis=-1)))
-    for a in (bd.nu, bd.grad_norm, lam, bd.hess):
+    for a in (bd.nu, bd.grad_norm, lam, bd.hess, bd.levi):
         a.flags.writeable = False
     state = BoundaryState(nu=bd.nu, grad_norm=bd.grad_norm, lam=lam, hess=bd.hess,
-                          residual=residual)
+                          levi=bd.levi, residual=residual)
     f._boundary_state = (df, state)
     return state
 

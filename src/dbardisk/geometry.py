@@ -40,6 +40,7 @@ __all__ = [
     "complex_hessian",
     "boundary_data",
     "classify_pseudoconvexity",
+    "classify_levi",
     "make_domain",
     "DOMAIN_CATALOG",
 ]
@@ -440,9 +441,20 @@ def classify_pseudoconvexity(
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need at least one boundary sample")
-    if k < 1 or k > df.n - 1:
-        raise InvalidSubspaceError(f"k must satisfy 1 <= k <= n-1 = {df.n - 1}, got {k}")
-    eigs = np.linalg.eigvalsh(boundary_data(df, samples).levi)
+    _require_subspace(k, df.n)
+    return classify_levi(boundary_data(df, samples).levi, k=k, tol_pc=tol_pc)
+
+
+def _require_subspace(k, n):
+    if k < 1 or k > n - 1:
+        raise InvalidSubspaceError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
+
+
+def classify_levi(levi, k: int = 1, tol_pc: float = 1e-9) -> PseudoconvexityReport:
+    """The classification of ``classify_pseudoconvexity`` from Levi matrices
+    (..., n-1, n-1) already at hand, such as those of a boundary state."""
+    _require_subspace(k, levi.shape[-1] + 1)
+    eigs = np.linalg.eigvalsh(levi)
     margin = float(np.min(np.sum(eigs[..., :k], axis=-1)))
     if margin > tol_pc:
         cls = "strict"

@@ -15,11 +15,19 @@ for every flat component. The components that connection entries a_ji
 touch form one block together, also when the entries split them into
 independent groups: per-group solves would make the cost depend cubically
 on how a connection happens to split, so that two connections touching the
-same components could differ fourfold. That block is kept as its complex
-interior part and its real boundary rows; its spectrum comes from the
-eigenvalues of its Gram matrix, with the values near the kernel recomputed
-by a Ritz pass (``_operator_spectrum``). The rank is cut against the
-largest singular value of all blocks.
+same components could differ fourfold. That block is kept only as the
+(row, column, value) triples of its real operator, and its Gram matrix is
+summed from the pairs of entries that share a row. Its spectrum comes from
+the eigenvalues of the Gram matrix, with the values near the kernel
+recomputed by a Ritz pass (``_operator_spectrum``). dbar moves the
+frequency by 1 and a connection term z^p_a zbar^q_a by p_a - q_a, so with
+S the spread of those shifts the Gram matrix couples two unknowns only if
+their |p - q| differ by at most S. Ordered by |p - q| // S it is block
+tridiagonal, and the Ritz pass
+solves with it band by band, eliminating band 0 last: it holds
+frequency 0 and with it the near-kernel, so that the nearly singular pivot
+block is the last one solved. The rank is cut against the largest singular
+value of all blocks.
 The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
 need no frame object: pairing them against f_zbar gives holomorphic
 coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked with
@@ -43,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import INNER_RADIUS, INTERIOR_RADIUS, is_critical
+from .criticality import INNER_RADIUS, INTERIOR_RADIUS, boundary_state, is_critical
 from .diskmap import DiskMap, dbar_density
 from .errors import (
     DegeneratePivotError,
@@ -52,7 +60,7 @@ from .errors import (
     VacuousCertificateError,
     require_number,
 )
-from .geometry import DefiningFunction, classify_pseudoconvexity, hermitian
+from .geometry import DefiningFunction, classify_levi, hermitian
 from .secondvar import VariationField, index_form_complex, index_form_real
 
 __all__ = [
@@ -117,12 +125,12 @@ def _checked_connection(connection, dim):
 
 
 def _real_operator(comps, conn, degree):
-    """The operator f -> (dbar f + a f, Im f on the circle) on the listed
-    components as a complex interior block A and a real boundary block B.
-    The real unknowns are the real parts, then the imaginary parts, of the
-    coefficients of the L^2-normalised monomials of degree <= degree; the
-    real operator is [realify(A); B] with realify(A) = [[Re A, -Im A],
-    [Im A, Re A]], which is never formed.
+    """The real operator f -> (dbar f + a f, Im f on the circle) on the
+    listed components as (row, col, val) triples, with the band of every
+    column. The real unknowns are the real parts, then the imaginary parts,
+    of the coefficients of the L^2-normalised monomials of degree <= degree;
+    the rows are realify(A) = [[Re A, -Im A], [Im A, Re A]] of the complex
+    interior operator A, then the real boundary rows.
 
     dbar z^p zbar^q = q z^p zbar^(q - 1), and the entry a_ji term
     (p_a, q_a) sends z^p zbar^q of component j to z^(p + p_a) zbar^(q + q_a)
@@ -130,6 +138,10 @@ def _real_operator(comps, conn, degree):
     for k = |p - q| the cosine row takes Im a and the sine row
     sign(p - q) Re a, weighted so that their Gram matrix equals that of
     Im f collocated at any number N > 2 degree of uniform angles.
+
+    The band of z^p zbar^q is |p - q| // S, S the spread of the frequency
+    shifts {1} u {p_a - q_a} (at least 1): two unknowns share a row only if
+    their bands differ by at most 1.
     """
     p, q = _monomials(degree)
     g, n_mono = len(comps), p.size
@@ -152,20 +164,40 @@ def _real_operator(comps, conn, degree):
                            (tj * n_mono + mono).ravel()])
     vals = np.concatenate([np.tile(q[has_q] * inv_s[has_q], g),
                            ((terms[:, 4] + 1j * terms[:, 5])[:, None] * inv_s).ravel()])
-    a_c = np.zeros((g * n_out, g * n_mono), dtype=complex)
-    np.add.at(a_c, (rows, cols), vals)
+    n_int, m = g * n_out, g * n_mono
+    row = [rows, rows + n_int, rows, rows + n_int]
+    col = [cols, cols, cols + m, cols + m]
+    val = [vals.real, vals.imag, -vals.imag, vals.real]
 
     n_freq = 2 * degree + 1
     freq = np.abs(p - q)
-    col = (comp * n_mono + mono).ravel()
-    row = (comp * n_freq + freq).ravel()
-    bnd = np.zeros((g * n_freq, 2 * g * n_mono))
-    bnd[row, g * n_mono + col] = np.tile(
-        np.where(freq == 0, np.sqrt(2.0 * np.pi), np.sqrt(np.pi)) * inv_s, g)
+    bcol = (comp * n_mono + mono).ravel()
+    brow = 2 * n_int + (comp * n_freq + freq).ravel()
     sin = np.tile(freq > 0, g)
-    bnd[row[sin] + degree, col[sin]] = np.tile(np.sqrt(np.pi) * np.sign(p - q) * inv_s,
-                                               g)[sin]
-    return a_c, bnd
+    row += [brow, brow[sin] + degree]
+    col += [bcol + m, bcol[sin]]
+    val += [np.tile(np.where(freq == 0, np.sqrt(2.0 * np.pi), np.sqrt(np.pi)) * inv_s, g),
+            np.tile(np.sqrt(np.pi) * np.sign(p - q) * inv_s, g)[sin]]
+    row, col, val = (np.concatenate(x) for x in (row, col, val))
+    keep = val != 0.0
+    spread = int(np.ptp(np.append(tp - tq, 1)))
+    band = np.tile(freq // max(1, spread), 2 * g)
+    return row[keep], col[keep], val[keep], band
+
+
+def _gram(row, col, val, size):
+    """M^T M of the operator M with size columns and entries val at
+    (row, col): every ordered pair of entries in one row adds its product
+    at (col_a, col_b), and one bincount sums them all."""
+    order = np.argsort(row, kind="stable")
+    row, col, val = row[order], col[order], val[order]
+    count = np.bincount(row)
+    per = count[row]                       # entries sharing each entry's row
+    a = np.repeat(np.arange(row.size), per)
+    b = np.repeat(np.cumsum(count)[row] - per, per)
+    b += np.arange(a.size) - np.repeat(np.cumsum(per) - per, per)
+    return np.bincount(col[a] * size + col[b], weights=val[a] * val[b],
+                       minlength=size * size).reshape(size, size)
 
 
 # singular values below REFINE_CUT sigma_0 come from the Ritz pass; its
@@ -177,57 +209,95 @@ RITZ_TOL = 1e-14
 MAX_RITZ_ITERATIONS = 10
 
 
-def _operator_spectrum(a, bnd):
-    """Singular values, descending, of the real operator [realify(a); bnd].
+def _operator_spectrum(row, col, val, band):
+    """Singular values, descending, of the real operator with entries val at
+    (row, col), whose column c lies in band band[c].
 
-    The Gram matrix is realify(a^H a) + bnd^T bnd (realify is an algebra
-    homomorphism and realify(a^H) = realify(a)^T), and one values-only
-    eigensolve gives every singular value as sqrt(lambda), with an error of
-    about eps sigma_0^2 / sigma. That is too coarse near the kernel, so the
+    The unknowns are ordered by band, so that the Gram matrix M^T M
+    (``_gram``) is block tridiagonal, and one values-only eigensolve of it
+    gives every singular value as sqrt(lambda), with an error of about
+    eps sigma_0^2 / sigma. That is too coarse near the kernel, so the
     values below REFINE_CUT sigma_0 are recomputed by _ritz_values.
     """
-    m = a.shape[1]
-    gram = bnd.T @ bnd
-    h = a.conj().T @ a
-    gram[:m, :m] += h.real
-    gram[m:, m:] += h.real
-    gram[m:, :m] += h.imag
-    gram[:m, m:] -= h.imag
-    del h
+    order = np.argsort(band, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    col = position[col]
+    edges = np.searchsorted(band[order], np.arange(band.max() + 2))
+    gram = _gram(row, col, val, band.size)
     lam = np.linalg.eigvalsh(gram)
     svals = np.sqrt(np.maximum(lam, 0.0))
     refine = int(np.searchsorted(svals, REFINE_CUT * svals[-1]))
     if refine:
         width = int(np.searchsorted(svals, GUARD * REFINE_CUT * svals[-1]))
-        svals[:refine] = _ritz_values(a, bnd, gram, lam, refine, width)
+        svals[:refine] = _ritz_values(row, col, val, gram, edges, lam, refine, width)
     return svals[::-1]
 
 
-def _ritz_values(a, bnd, gram, lam, count, width):
-    """The count smallest singular values, ascending, of [realify(a); bnd]:
-    those of the operator on an orthonormal basis V of the eigenvectors of
-    its Gram matrix for the width smallest eigenvalues lam (ascending).
+def _band_solver(gram, edges):
+    """x -> gram^-1 x for a block-tridiagonal gram whose band b holds the
+    unknowns edges[b]:edges[b + 1]; the diagonal blocks of gram are
+    overwritten with their Schur complements.
+
+    The bands are eliminated from the last one down to band 0, which holds
+    frequency 0 and with it the near-kernel. The Schur complements met on
+    the way are those of blocks without it and stay well conditioned; the
+    nearly singular one is band 0's, solved last. The Schur complements S_b
+    and the couplings S_b^-1 E_(b-1)^T, E_b the block of bands (b, b + 1),
+    are formed once; a solve then takes one np.linalg.solve per band, none
+    wider than the widest band.
+    """
+    bands = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    schur = [gram[b, b] for b in bands]
+    upper = [gram[lo, hi] for lo, hi in zip(bands[:-1], bands[1:])]
+    coupling = [None] * len(bands)
+    for b in range(len(bands) - 1, 0, -1):
+        coupling[b] = np.linalg.solve(schur[b], upper[b - 1].T)
+        schur[b - 1] -= upper[b - 1] @ coupling[b]
+
+    def solve(rhs):
+        z = [None] * len(bands)
+        y = rhs[bands[-1]]
+        for b in range(len(bands) - 1, 0, -1):
+            z[b] = np.linalg.solve(schur[b], y)
+            y = rhs[bands[b - 1]] - upper[b - 1] @ z[b]
+        x = np.empty_like(rhs)
+        x[bands[0]] = np.linalg.solve(schur[0], y)
+        for b in range(1, len(bands)):
+            x[bands[b]] = z[b] - coupling[b] @ x[bands[b - 1]]
+        return x
+
+    return solve
+
+
+def _ritz_values(row, col, val, gram, edges, lam, count, width):
+    """The count smallest singular values, ascending, of the operator M with
+    entries val at (row, col): those of M on an orthonormal basis V of the
+    eigenvectors of its Gram matrix for the width smallest eigenvalues lam
+    (ascending).
 
     V comes from inverse subspace iteration on gram + mu I, mu = eps
-    lambda_max (gram is shifted in place), from a fixed pseudo-random start;
-    each pass applies realify(a) as one complex product and takes the
-    values of the thin product. A pass shrinks the rest of the spectrum by
+    lambda_max, solved band by band (``_band_solver``; gram is overwritten),
+    from a fixed pseudo-random start; each pass forms
+    M V from the triples and takes the values of that thin product. A pass
+    shrinks the rest of the spectrum by
     rate = (lam[count - 1] + mu) / (lam[width] + mu) against the values
     wanted, so the iteration stops once the last change, times
     rate / (1 - rate), is below RITZ_TOL sigma_0.
     """
-    m = a.shape[1]
     mu = np.finfo(float).eps * lam[-1]
     gram[np.diag_indices_from(gram)] += mu
+    solve = _band_solver(gram, edges)
     rate = (max(lam[count - 1], 0.0) + mu) / (lam[width] + mu)
     tol = RITZ_TOL * np.sqrt(lam[-1]) * (1.0 - rate) / rate
+    n_rows = int(row.max()) + 1
     v = np.random.default_rng(0).standard_normal((gram.shape[0], width))
     theta = None
     for _ in range(MAX_RITZ_ITERATIONS):
-        v = np.linalg.qr(np.linalg.solve(gram, v))[0]
-        z = a @ (v[:m] + 1j * v[m:])
-        last, theta = theta, np.linalg.svd(np.vstack([z.real, z.imag, bnd @ v]),
-                                           compute_uv=False)[::-1][:count]
+        v = np.linalg.qr(solve(v))[0]
+        mv = np.stack([np.bincount(row, val * v[col, j], n_rows) for j in range(width)],
+                      axis=1)
+        last, theta = theta, np.linalg.svd(mv, compute_uv=False)[::-1][:count]
         if last is not None and np.max(np.abs(theta - last)) <= tol:
             break
     return theta
@@ -269,11 +339,10 @@ def dbar_kernel_dimension(n: int, degree: int = 6,
         spectra.append(_operator_spectrum(*_real_operator(coupled, conn, degree)))
     n_flat = dim - len(coupled)
     if n_flat:
-        a_c, bnd = _real_operator([0], {}, degree)
-        flat = np.vstack([np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]]), bnd])
-        p, q = _monomials(degree)
-        freq = np.tile(np.abs(p - q), 2)
-        blocks = [np.linalg.svd(flat[:, freq == k], compute_uv=False)
+        row, col, val, band = _real_operator([0], {}, degree)
+        flat = np.zeros((row.max() + 1, band.size))
+        np.add.at(flat, (row, col), val)
+        blocks = [np.linalg.svd(flat[:, band == k], compute_uv=False)
                   for k in range(degree + 1)]
         spectra += [np.concatenate(blocks)] * n_flat
     svals = np.sort(np.concatenate(spectra))[::-1]
@@ -409,7 +478,7 @@ def certify_index(f: DiskMap, df: DefiningFunction, k: int = 1, *,
             f"{report.harmonic_residual:.3e}, boundary residual "
             f"{report.boundary_residual:.3e}"
         )
-    classification = classify_pseudoconvexity(df, f.boundary, k=k, tol_pc=tol_pc)
+    classification = classify_levi(boundary_state(f, df).levi, k=k, tol_pc=tol_pc)
     if classification.classification != "strict":
         raise Refusal(
             f"domain {df.name!r} is not strictly "

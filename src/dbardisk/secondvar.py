@@ -195,14 +195,18 @@ def admissibility(V: VariationField, f: DiskMap,
     return AdmissibilityCheck(real_sup=real_sup, complex_sup=complex_sup)
 
 
+def _tangency_error(V, sup):
+    return AdmissibilityError(
+        f"field {V.label!r} is not tangent to the boundary "
+        f"(sup |<V, nu>| = {sup:.3e})",
+        measured_sup=sup,
+    )
+
+
 def _require_admissible(V, f, df):
     chk = admissibility(V, f, df)
     if chk.real_sup > TOL_ADM:
-        raise AdmissibilityError(
-            f"field {V.label!r} is not tangent to the boundary "
-            f"(sup |<V, nu>| = {chk.real_sup:.3e})",
-            measured_sup=chk.real_sup,
-        )
+        raise _tangency_error(V, chk.real_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +360,14 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
                 f"Gram basis must be real fields (got complex {V.label!r}); "
                 "split sections into real and imaginary parts"
             )
-        _require_admissible(V, f, df)
 
     m = len(basis)
     grid = f.grid
     vb = np.array([V.boundary for V in basis], dtype=float)
+    tangency = np.max(np.abs(np.sum(vb * state.nu, axis=-1)), axis=-1)
+    bad = np.flatnonzero(tangency > TOL_ADM)
+    if bad.size:
+        raise _tangency_error(basis[bad[0]], float(tangency[bad[0]]))
     if all(V.profile is not None for V in basis):
         interior = _separable_interior(grid, basis)
     else:

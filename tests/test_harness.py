@@ -38,9 +38,9 @@ def test_run_certify_f3_ball():
 
 
 @pytest.mark.parametrize("action, passes", [("index", 1), ("critical", 1),
-                                             ("cutoff", 1), ("certify", 2)])
+                                             ("cutoff", 1), ("certify", 1)])
 def test_boundary_pass_runs_once_per_map_and_domain(action, passes, monkeypatch):
-    # certify's second pass is the Levi classification of the boundary image
+    # certify classifies the domain from the Levi form of the cached state
     original, calls = geometry.boundary_data, []
 
     def spy(*args):

@@ -176,6 +176,14 @@ def _realify(c):
     return np.block([[c.real, -c.imag], [c.imag, c.real]])
 
 
+def _one_band(a, bnd):
+    """The real operator [realify(a); bnd] as (row, col, val) triples, every
+    column in band 0."""
+    full = np.vstack([_realify(a), bnd])
+    row, col = np.nonzero(full)
+    return row, col, full[row, col], np.zeros(full.shape[1], dtype=int)
+
+
 def _synthetic_operator(complex_svals, real_svals, seed, mix=True):
     """A complex interior block a and a real boundary block bnd whose real
     operator [realify(a); bnd] has the singular values complex_svals (each
@@ -223,7 +231,7 @@ SYNTHETIC_SPECTRA = {
 def test_operator_spectrum_matches_dense_svd(case, seed):
     complex_svals, real_svals, mix = SYNTHETIC_SPECTRA[case]
     a, bnd = _synthetic_operator(complex_svals, real_svals, seed, mix=mix)
-    svals = holsec._operator_spectrum(a, bnd)
+    svals = holsec._operator_spectrum(*_one_band(a, bnd))
     dense = np.linalg.svd(np.vstack([_realify(a), bnd]), compute_uv=False)
     expect = np.sort(np.concatenate([complex_svals, complex_svals, real_svals]))[::-1]
     assert svals.shape == dense.shape == expect.shape
@@ -237,7 +245,7 @@ def test_operator_spectrum_refines_the_near_kernel():
     # below the cut sqrt(lambda) of the Gram eigenvalues is only good to
     # about 1e-8 sigma_0; the Ritz values resolve what lies beneath it
     a, bnd = _synthetic_operator([1.0, 3e-10, 2e-13], [0.4, 5e-12], seed=2)
-    svals = holsec._operator_spectrum(a, bnd)
+    svals = holsec._operator_spectrum(*_one_band(a, bnd))
     expect = [3e-10, 3e-10, 5e-12, 2e-13, 2e-13]
     assert np.max(np.abs(svals[-5:] - expect)) <= 1e-14
 
@@ -263,7 +271,9 @@ def test_connected_spectrum_is_deterministic():
 
 def test_connected_kernel_memory():
     # one dense SVD of the whole real operator (1602 x 1260 at n = 3,
-    # degree 13) peaked at 37.8 MiB; the Gram route stays below that
+    # degree 13) peaked at 37.8 MiB and the Gram matrix of the dense A and
+    # B at 33.6 MiB; from the triples the call peaks at 14.9 MiB, the Gram
+    # matrix (12.1 MiB) and its row pairs
     conn = workloads.seeded_connection(np.random.default_rng(0), 3)
     tracemalloc.start()
     try:
@@ -271,7 +281,90 @@ def test_connected_kernel_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 37.8 * 2**20
+    assert peak <= 17.0 * 2**20
+
+
+def test_connected_block_forms_no_dense_operator(monkeypatch):
+    # at n = 3, degree 13 the dense complex interior block A (720 x 630)
+    # takes 6.9 MiB and A^H A 6.1 MiB. Besides the Gram matrix the call
+    # holds only the triples and their row pairs until the eigensolve, and
+    # only the band couplings after it
+    conn = workloads.seeded_connection(np.random.default_rng(0), 3)
+    eigvalsh, seen = np.linalg.eigvalsh, {}
+
+    def spy(a, *args, **kwargs):
+        seen["live"], seen["assembly"] = tracemalloc.get_traced_memory()
+        seen["gram"] = a.nbytes
+        tracemalloc.reset_peak()
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    tracemalloc.start()
+    try:
+        dbar_kernel_dimension(3, degree=13, connection=conn)
+        ritz = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    assert seen["gram"] == 8 * 1260**2
+    assert seen["live"] - seen["gram"] <= 1 * mib
+    assert seen["assembly"] - seen["gram"] <= 4 * mib
+    assert ritz - seen["gram"] <= 4 * mib
+
+
+def _connected_operator(n, degree, connection):
+    """The triples and bands of the block the connection touches, or of one
+    flat component."""
+    conn = holsec._checked_connection(connection, 2 * n)
+    comps = sorted({c for key in conn for c in key}) or [0]
+    return holsec._real_operator(comps, conn, degree)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_gram_is_block_tridiagonal_over_bands(case):
+    n, degree, kwargs = ORACLE_CASES[case]
+    row, col, val, band = _connected_operator(n, degree, kwargs.get("connection"))
+    gram = holsec._gram(row, col, val, band.size)
+    dense = np.zeros((row.max() + 1, band.size))
+    np.add.at(dense, (row, col), val)
+    assert np.allclose(gram, dense.T @ dense, rtol=0.0, atol=1e-13 * np.max(gram))
+    far = np.abs(band[:, None] - band[None, :]) > 1
+    assert np.all(gram[far] == 0.0)
+
+
+def test_band_solves_are_no_wider_than_a_band(monkeypatch):
+    conn = workloads.seeded_connection(np.random.default_rng(1), 3)
+    band = _connected_operator(3, 13, conn)[3]
+    widest = int(np.max(np.bincount(band)))
+    assert widest < band.size // 4
+    solve, widths = np.linalg.solve, []
+
+    def spy(a, b):
+        widths.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    assert dbar_kernel_dimension(3, degree=13, connection=conn) == 6
+    assert widths and max(widths) <= widest
+
+
+# terms that move the frequency by 5 and by -4: bands of 5 and 9 frequencies
+WIDE_SPREAD = {
+    "spread-5": {(0, 1): {(5, 0): 0.3, (0, 0): 0.2j}, (1, 0): {(1, 0): -0.4}},
+    "spread-5-down": {(1, 1): {(0, 4): 0.4 - 0.1j, (1, 0): -0.1}},
+    "spread-9": {(0, 1): {(5, 0): 0.2 - 0.1j, (0, 4): 0.3}, (3, 0): {(0, 0): 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_SPREAD))
+def test_wide_spread_connections_match_dense_assembly(case):
+    conn = WIDE_SPREAD[case]
+    kdim, svals = dbar_kernel_dimension(2, degree=9, connection=conn, return_details=True)
+    kdim_dense, svals_dense = _dense_kernel(2, degree=9, connection=conn)
+    assert kdim == kdim_dense
+    assert np.max(np.abs(svals - svals_dense)) <= 1e-12 * svals_dense[0]
+    tail = svals_dense < holsec.REFINE_CUT * svals_dense[0]
+    assert np.max(np.abs(svals[tail] - svals_dense[tail])) <= 1e-14 * svals_dense[0]
 
 
 MALFORMED_KERNEL_INPUTS = {

@@ -71,6 +71,26 @@ def test_normal_field_is_inadmissible(grid, maps, ball):
         sv.index_form_real(maps["f3"], ball, V)
 
 
+def test_gram_names_the_first_non_tangent_field(grid, maps, ball):
+    # the Gram assembly checks every field's tangency at once; it still
+    # names the first field past TOL_ADM and reports that field's sup
+    state = sv.boundary_state(maps["f3"], ball)
+
+    def normal(scale, label):
+        values = np.broadcast_to(scale * state.nu, (grid.n_r, grid.n_theta, 4)).copy()
+        return sv.VariationField(grid, 2, values, scale * state.nu, label=label)
+
+    tangent = sv.admissible_basis(maps["f3"], ball, 6)
+    fields = tangent[:2] + [normal(1e-9, "tiny"), normal(0.5, "half"), tangent[2],
+                            normal(2.0, "double")]
+    with pytest.raises(AdmissibilityError) as err:
+        sv.assemble_gram(maps["f3"], ball, fields)
+    assert "'half'" in str(err.value) and "'double'" not in str(err.value)
+    assert err.value.measured_sup == sv.admissibility(fields[3], maps["f3"], ball).real_sup
+    assert abs(err.value.measured_sup - 0.5) < 1e-12
+    assert sv.assemble_gram(maps["f3"], ball, fields[:3]).matrix.shape == (3, 3)
+
+
 def test_holomorphic_section_complex_check(grid, maps, ball):
     from dbardisk.holsec import build_U
 

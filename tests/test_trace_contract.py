@@ -43,8 +43,7 @@ EXPECTED_SPANS = {
     "sampled_oracles": ["holsec.build_U_s", "holsec.certify_index_s",
                         "secondvar.index_form_s", "secondvar.field_gradients_s",
                         "secondvar.boundary_state_s", "diskmap.derivatives_spectral_s",
-                        "kernels.polar_to_cartesian_s",
-                        "geometry.classify_pseudoconvexity_s"],
+                        "kernels.polar_to_cartesian_s"],
 }
 
 
@@ -91,3 +90,20 @@ def test_tracer_reaches_every_workload(name, tmp_path):
         key for key in before if after[key] is not before[key]]
     zero = [key for key in EXPECTED_SPANS[name] if not metrics[key]["value"] > 0]
     assert not zero, f"{op.name}: spans read 0: {zero}"
+
+
+def test_tracer_reaches_the_levi_classification():
+    # certify classifies from the Levi form of the cached boundary state,
+    # so no workload's first operation reaches classify_pseudoconvexity;
+    # the levi action does
+    original = geometry.classify_pseudoconvexity
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        config = harness.ScenarioConfig(action="levi", domain="ball4", map="f3")
+        assert harness.run(config).results["levi"]["classification"] == "strict"
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert geometry.classify_pseudoconvexity is original
+    assert metrics["geometry.classify_pseudoconvexity_s"]["value"] > 0
