@@ -45,7 +45,6 @@ from .secondvar import (  # noqa: F401
     fd_second_variation,
     index_form_complex,
     index_form_real,
-    log_cutoff,
 )
 from .holsec import (  # noqa: F401
     Certificate,

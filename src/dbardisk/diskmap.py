@@ -63,6 +63,12 @@ def _differentiation_matrix(x):
     return d
 
 
+# largest grid: the radial nodes and operators are dense n_r x n_r matrices,
+# and every sampled field holds n_r n_theta nodes
+MAX_N_R = 1024
+MAX_NODES = 2**20
+
+
 class DiskGrid:
     """Polar tensor grid on the unit disk with spectral operators.
 
@@ -75,6 +81,11 @@ class DiskGrid:
             raise ResolutionError(f"grid too small: n_r={n_r}, n_theta={n_theta}")
         if n_theta % 2:
             raise ResolutionError("n_theta must be even")
+        if n_r > MAX_N_R or n_r * n_theta > MAX_NODES:
+            raise ResolutionError(
+                f"grid too large: n_r={n_r}, n_theta={n_theta} (at most n_r = "
+                f"{MAX_N_R} and {MAX_NODES} nodes)"
+            )
         self.n_r = n_r
         self.n_theta = n_theta
         x, w = np.polynomial.legendre.leggauss(n_r)

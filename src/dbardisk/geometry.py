@@ -69,79 +69,20 @@ def from_complex_coords(w: np.ndarray) -> np.ndarray:
 # defining functions
 
 
-def _fd_steps(p, fd_step):
-    """Per-point step fd_step * max(1, |p|), shaped (..., 1)."""
-    return fd_step * np.maximum(1.0, np.linalg.norm(p, axis=-1, keepdims=True))
-
-
-def _fd_gradient(rho, p, fd_step):
-    h = _fd_steps(p, fd_step)
-    eye = np.eye(p.shape[-1])
-    g = np.empty_like(p)
-    for i in range(p.shape[-1]):
-        e = h * eye[i]
-        g[..., i] = (rho(p + e) - rho(p - e)) / (2.0 * h[..., 0])
-    return g
-
-
-def _fd_hessian(rho, p, fd_step):
-    h = _fd_steps(p, fd_step)
-    h2 = h[..., 0] ** 2
-    m = p.shape[-1]
-    eye = np.eye(m)
-    hess = np.empty(p.shape + (m,))
-    f0 = rho(p)
-    for i in range(m):
-        ei = h * eye[i]
-        hess[..., i, i] = (rho(p + ei) - 2.0 * f0 + rho(p - ei)) / h2
-        for j in range(i + 1, m):
-            ej = h * eye[j]
-            val = (
-                rho(p + ei + ej) - rho(p + ei - ej) - rho(p - ei + ej) + rho(p - ei - ej)
-            ) / (4.0 * h2)
-            hess[..., i, j] = val
-            hess[..., j, i] = val
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
-
-
 @dataclass
 class DefiningFunction:
     """A domain N = {rho < 0} with gradient and real-Hessian evaluators.
 
     rho, grad and hess take points of shape (..., 2n) and return arrays of
-    shape (...), (..., 2n) and (..., 2n, 2n). provenance is "analytic"
-    when grad/hess are exact closures and "finite-difference" when they
-    come from central differences of rho (step fd_step * max(1, |p|) per
-    point; the FD Hessian is symmetrized).
+    shape (...), (..., 2n) and (..., 2n, 2n). ``make_domain`` builds every
+    domain from a ``PolynomialRho``, whose three evaluators are exact.
     """
 
     n: int
     rho: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    provenance: str = "analytic"
-    fd_step: float | None = None
     name: str = "custom"
-
-    @classmethod
-    def from_scalar(cls, rho, n, fd_step=1e-5, name="custom-fd"):
-        """Build the finite-difference provenance from rho alone."""
-
-        def grad(p):
-            return _fd_gradient(rho, np.asarray(p, dtype=float), fd_step)
-
-        def hess(p):
-            return _fd_hessian(rho, np.asarray(p, dtype=float), fd_step)
-
-        return cls(
-            n=n,
-            rho=rho,
-            grad=grad,
-            hess=hess,
-            provenance="finite-difference",
-            fd_step=fd_step,
-            name=name,
-        )
 
 
 def _differentiate(ex, coef):
@@ -219,7 +160,6 @@ class PolynomialRho:
             rho=self,
             grad=self.gradient,
             hess=self.hessian,
-            provenance="analytic",
             name=name,
         )
 

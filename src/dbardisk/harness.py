@@ -27,6 +27,7 @@ from .errors import DbarDiskError, NonFiniteValueError, require_number
 from .geometry import classify_pseudoconvexity, make_domain
 from .holsec import certify_index
 from .secondvar import (
+    LogCutoff,
     PolarPoly,
     admissible_basis,
     assemble_gram,
@@ -36,7 +37,6 @@ from .secondvar import (
     f4_variation_field,
     fd_second_variation,
     index_form_real,
-    log_cutoff,
     random_polar_poly,
 )
 
@@ -292,7 +292,7 @@ def run(config: ScenarioConfig) -> Report:
     elif action == "cutoff":
         cut_res = []
         for eps in config.eps_list:
-            cut = log_cutoff(eps)
+            cut = LogCutoff(eps)
             cut_res.append({
                 "eps": eps,
                 "dirichlet_integral": cut.dirichlet_integral,

@@ -8,8 +8,8 @@ second variation along an admissible field V is
                     + int_dD <J dV/dtheta, V> dtheta ]
 
 where A is the boundary acceleration of the deforming family. The flat
-ambient curvature term is identically zero. Under the default hypersurface
-policy the family is confined to {rho = 0}, which forces
+ambient curvature term is identically zero. Under the hypersurface policy
+the family is confined to {rho = 0}, which forces
 
     <A, nu> = - Hess rho (V, V) / |grad rho|
 
@@ -68,7 +68,6 @@ __all__ = [
     "f4_variation_field",
     "f4_closed_forms",
     "LogCutoff",
-    "log_cutoff",
     "cutoff_stability_check",
     "admissible_basis",
     "interior_bumps",
@@ -84,9 +83,9 @@ class VariationField:
     """A section of the pullback tangent bundle sampled on the grid.
 
     values: (n_r, n_theta, 2n), real for ordinary variations or complex for
-    (1,0) sections. boundary: trace on dD, (n_theta, 2n). acceleration:
-    None selects the hypersurface policy for the boundary term of the index
-    form; an explicit (n_theta,) array gives <A, nu> directly.
+    (1,0) sections. boundary: trace on dD, (n_theta, 2n). The boundary
+    acceleration of the index form always comes from the hypersurface
+    policy, <A, nu> = -Hess rho (V, V) / |grad rho|.
 
     A field built by ``separable`` or ``constant`` is stored only as its
     factors, values[i, j, :] = profile(r_i) * angular[j, :]: values is
@@ -101,12 +100,12 @@ class VariationField:
     angular = None
 
     def __init__(self, grid: DiskGrid, n: int, values: np.ndarray, boundary: np.ndarray,
-                 acceleration: Optional[np.ndarray] = None, label: str = "field"):
+                 label: str = "field"):
         expect = (grid.n_r, grid.n_theta, 2 * n)
         if values.shape != expect:
             raise ValueError(f"values shape {values.shape}, expected {expect}")
         self.grid, self.n, self._values, self.boundary = grid, n, values, boundary
-        self.acceleration, self.label = acceleration, label
+        self.label = label
 
     @classmethod
     def constant(cls, grid, n, vector, label="const"):
@@ -119,7 +118,7 @@ class VariationField:
         if angular.shape != expect:
             raise ValueError(f"angular shape {angular.shape}, expected {expect}")
         V = cls.__new__(cls)
-        V.grid, V.n, V._values, V.acceleration, V.label = grid, n, None, None, label
+        V.grid, V.n, V._values, V.label = grid, n, None, label
         V.profile, V.angular = profile, angular
         V.boundary = _frozen(profile(1.0) * angular)
         return V
@@ -130,16 +129,6 @@ class VariationField:
             prof_r = self.profile(self.grid.r)
             self._values = _frozen(prof_r[:, None, None] * self.angular[None, :, :])
         return self._values
-
-    def scaled(self, c):
-        """c V with acceleration c^2 A; a separable field keeps its factors."""
-        if self.profile is None:
-            W = VariationField(self.grid, self.n, c * self.values, c * self.boundary)
-        else:
-            W = VariationField.separable(self.grid, self.n, c * self.profile, self.angular)
-        W.label = f"{c}*{self.label}"
-        W.acceleration = None if self.acceleration is None else c**2 * self.acceleration
-        return W
 
     def gradients(self):
         """(V_r, V_theta / r): the gradient in the orthonormal polar frame,
@@ -195,18 +184,27 @@ def admissibility(V: VariationField, f: DiskMap,
     return AdmissibilityCheck(real_sup=real_sup, complex_sup=complex_sup)
 
 
-def _tangency_error(V, sup):
-    return AdmissibilityError(
-        f"field {V.label!r} is not tangent to the boundary "
-        f"(sup |<V, nu>| = {sup:.3e})",
-        measured_sup=sup,
-    )
+def _tangent_traces(state: BoundaryState, fields) -> np.ndarray:
+    """Stacked boundary traces (m, n_theta, 2n) of real fields, each with
+    sup |<V_a, nu>| <= TOL_ADM.
 
-
-def _require_admissible(V, f, df):
-    chk = admissibility(V, f, df)
-    if chk.real_sup > TOL_ADM:
-        raise _tangency_error(V, chk.real_sup)
+    The first field past TOL_ADM raises AdmissibilityError carrying its own
+    sup; a complex field raises TypeError.
+    """
+    if any(np.iscomplexobj(V.boundary) for V in fields):
+        raise TypeError("real index forms take real fields; split complex "
+                        "sections into real and imaginary parts")
+    vb = np.array([V.boundary for V in fields], dtype=float)
+    tangency = np.max(np.abs(np.sum(vb * state.nu, axis=-1)), axis=-1)
+    bad = np.flatnonzero(tangency > TOL_ADM)
+    if bad.size:
+        V, sup = fields[bad[0]], float(tangency[bad[0]])
+        raise AdmissibilityError(
+            f"field {V.label!r} is not tangent to the boundary "
+            f"(sup |<V, nu>| = {sup:.3e})",
+            measured_sup=sup,
+        )
+    return vb
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +221,27 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
     """Polarized index form I(V, Vb) of the second variation at f.
 
     With the hypersurface acceleration policy the boundary term is
-    - int lambda Hess rho (V, Vb) / |grad rho| dtheta; an explicit
-    acceleration array on V is honored for the diagonal I(V, V). The
-    circulation term is symmetrized over (V, Vb).
+    - int lambda Hess rho (V, Vb) / |grad rho| dtheta. The circulation term
+    is symmetrized over (V, Vb).
     """
     state = boundary_state(f, df)
     grid = f.grid
     diagonal = Vb is None or Vb is V
-    if np.iscomplexobj(V.boundary) or (not diagonal and np.iscomplexobj(Vb.boundary)):
-        raise TypeError("index_form_real takes real fields; use index_form_complex")
-    _require_admissible(V, f, df)
-    if not diagonal:
-        _require_admissible(Vb, f, df)
     W = V if diagonal else Vb
+    vb, wb = _tangent_traces(state, [V] if diagonal else [V, W])[[0, -1]]
 
     vr, vt = V.gradients()
     wr, wt = (vr, vt) if diagonal else W.gradients()
     interior = grid.integrate_disk(np.sum(vr * wr + vt * wt, axis=-1))
 
-    if diagonal and V.acceleration is not None:
-        accn = V.acceleration
-    else:
-        accn = -_hess_pair(state, V.boundary, W.boundary) / state.grad_norm
+    accn = -_hess_pair(state, vb, wb) / state.grad_norm
     acc_term = grid.integrate_boundary(state.lam * accn)
 
-    vtb = grid.theta_derivative(V.boundary, axis=0)
-    circ = np.sum(apply_j(vtb) * W.boundary, axis=-1)
+    vtb = grid.theta_derivative(vb, axis=0)
+    circ = np.sum(apply_j(vtb) * wb, axis=-1)
     if not diagonal:
-        wtb = grid.theta_derivative(W.boundary, axis=0)
-        circ = 0.5 * (circ + np.sum(apply_j(wtb) * V.boundary, axis=-1))
+        wtb = grid.theta_derivative(wb, axis=0)
+        circ = 0.5 * (circ + np.sum(apply_j(wtb) * vb, axis=-1))
     circ_term = grid.integrate_boundary(circ)
 
     return 0.5 * (interior + acc_term + circ_term)
@@ -354,20 +344,9 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     if not basis:
         raise EmptyBasisError("need at least one variation field")
     state = boundary_state(f, df)
-    for V in basis:
-        if np.iscomplexobj(V.boundary):
-            raise TypeError(
-                f"Gram basis must be real fields (got complex {V.label!r}); "
-                "split sections into real and imaginary parts"
-            )
-
     m = len(basis)
     grid = f.grid
-    vb = np.array([V.boundary for V in basis], dtype=float)
-    tangency = np.max(np.abs(np.sum(vb * state.nu, axis=-1)), axis=-1)
-    bad = np.flatnonzero(tangency > TOL_ADM)
-    if bad.size:
-        raise _tangency_error(basis[bad[0]], float(tangency[bad[0]]))
+    vb = _tangent_traces(state, basis)
     if all(V.profile is not None for V in basis):
         interior = _separable_interior(grid, basis)
     else:
@@ -421,22 +400,27 @@ class FdSecondVariation:
     h: float
 
 
+# largest |rho| a boundary point of an evaluated or projected family member
+# may keep
+PROJECTION_TOL = 1e-8
+PROJECTION_STEPS = 3
+
+
 def fd_second_variation(family: Callable[[float], DiskMap],
                         df: Optional[DefiningFunction] = None,
-                        h: float = 0.02,
-                        tol_constraint: float = 1e-8) -> FdSecondVariation:
+                        h: float = 0.02) -> FdSecondVariation:
     """Second derivative of t -> E''(F_t) at t = 0.
 
     Central second difference with one Richardson step (h, h/2). When df is
     given, the boundary trace of every evaluated map is checked to stay on
-    {rho = 0} within tol_constraint.
+    {rho = 0} within PROJECTION_TOL.
     """
 
     def check(g: DiskMap, t: float):
         if df is None:
             return
         worst = float(np.max(np.abs(df.rho(g.boundary))))
-        if worst > tol_constraint:
+        if worst > PROJECTION_TOL:
             raise ConstraintViolationError(
                 f"family leaves the hypersurface at t={t:+.4f} "
                 f"(max |rho| = {worst:.3e})",
@@ -459,12 +443,6 @@ def fd_second_variation(family: Callable[[float], DiskMap],
     fine = second_diff(0.5 * h)
     value = (4.0 * fine - coarse) / 3.0
     return FdSecondVariation(value=value, raw=4.0 * value, coarse=coarse, fine=fine, h=h)
-
-
-# largest |rho| a projected boundary point may keep: the default
-# tol_constraint of fd_second_variation, which evaluates these families
-PROJECTION_TOL = 1e-8
-PROJECTION_STEPS = 3
 
 
 def _project_to_hypersurface(df: DefiningFunction, points: np.ndarray) -> np.ndarray:
@@ -769,10 +747,6 @@ class LogCutoff:
         return float(np.max(np.abs(self.derivative(r)) * r * self.log_eps))
 
 
-def log_cutoff(epsilon: float) -> LogCutoff:
-    return LogCutoff(epsilon=epsilon)
-
-
 def _gauss_panel(a: float, b: float, order: int = 48):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
@@ -812,7 +786,7 @@ def cutoff_stability_check(f: DiskMap, df: DefiningFunction, V: VariationField,
 
     records = []
     for eps in eps_list:
-        cut = log_cutoff(eps)
+        cut = LogCutoff(eps)
         # transition annulus, integrated in s = ln r
         s_nodes, s_w = _gauss_panel(2.0 * np.log(eps), np.log(eps), order=64)
         r_nodes = np.exp(s_nodes)
@@ -862,12 +836,15 @@ def cutoff_stability_check(f: DiskMap, df: DefiningFunction, V: VariationField,
 # ---------------------------------------------------------------------------
 # admissible basis generators
 
+# largest angular frequency k of the generated fields
+KMAX = 6
 
-def interior_bumps(grid: DiskGrid, n: int, count: int, kmax: int = 4):
+
+def interior_bumps(grid: DiskGrid, n: int, count: int):
     """Compactly-vanishing-at-the-rim fields (1 - r^2) r^k trig(k t) e_c."""
     fields = []
     dim = 2 * n
-    for k in range(kmax + 1):
+    for k in range(KMAX + 1):
         trigs = [("cos", lambda t, k=k: np.cos(k * t))]
         if k > 0:
             trigs.append(("sin", lambda t, k=k: np.sin(k * t)))
@@ -884,24 +861,23 @@ def interior_bumps(grid: DiskGrid, n: int, count: int, kmax: int = 4):
                     )
                 )
     if len(fields) < count:
-        raise ValueError(f"kmax={kmax} yields only {len(fields)} bumps < {count}")
+        raise ValueError(f"KMAX={KMAX} yields only {len(fields)} bumps < {count}")
     return fields
 
 
-def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *, kmax: int = 6):
+def admissible_basis(f: DiskMap, df: DefiningFunction, size: int):
     """Deterministic admissible basis: projected tangent frames plus bumps.
 
     Boundary-tangent fields are the coordinate directions projected along
     the unit normal at each boundary node, modulated by trig(k theta) and
     extended inward with the profile r^{k+2}; they are followed by interior
-    bumps once the frame modes are exhausted. Reproducible from
-    (size, kmax).
+    bumps once the frame modes are exhausted. Reproducible from size.
     """
     state = boundary_state(f, df)
     grid = f.grid
     dim = 2 * f.n
     fields = []
-    for k in range(kmax + 1):
+    for k in range(KMAX + 1):
         trigs = [("cos", np.cos(k * grid.theta))]
         if k > 0:
             trigs.append(("sin", np.sin(k * grid.theta)))
@@ -920,5 +896,5 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int, *, kmax: int =
                     )
                 )
     if len(fields) < size:
-        fields.extend(interior_bumps(grid, f.n, size - len(fields), kmax=kmax))
+        fields.extend(interior_bumps(grid, f.n, size - len(fields)))
     return fields[:size]

@@ -193,7 +193,7 @@ def test_criterion_09_cutoff_suite(grid, weak):
     with criterion(9, "cutoff: Dirichlet <= 2.2 pi/|ln eps|, decreasing, transfer", 10.0):
         values = []
         for eps in (1e-2, 1e-3, 1e-4):
-            cut = sv.log_cutoff(eps)
+            cut = sv.LogCutoff(eps)
             assert cut.dirichlet_integral <= 2.2 * np.pi / abs(np.log(eps))
             values.append(cut.dirichlet_integral)
         assert values[0] > values[1] > values[2]

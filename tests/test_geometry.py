@@ -92,18 +92,6 @@ def test_complex_hessian_nonfinite_entries():
     assert err.value.coordinate is not None
 
 
-def test_finite_difference_matches_analytic():
-    for name in ("ball4", "cylinder_x", "weak_rank_one"):
-        analytic = make_domain(name)
-        fd = DefiningFunction.from_scalar(analytic.rho, n=2)
-        assert fd.provenance == "finite-difference"
-        for p in ([1.0, 0.0, 0.0, 0.0], [0.6, 0.0, -0.8, 0.0], [0.5, 0.5, 0.5, 0.5]):
-            p = np.asarray(p)
-            la = complex_hessian(analytic, p)
-            lf = complex_hessian(fd, p)
-            assert np.max(np.abs(la - lf)) < 1e-6, name
-
-
 # ---------------------------------------------------------------------------
 # boundary data
 

@@ -317,6 +317,8 @@ MALFORMED_CONFIGS = {
                                   "tolerances": {"tol_pc": 1e-9}},
     "grid-number": {"action": "energy", "map": "f1", "grid": 5},
     "grid-null-entry": {"action": "energy", "map": "f1", "grid": [32, None]},
+    "grid-huge": {"action": "energy", "map": "f1", "grid": [100000, 64]},
+    "grid-too-many-nodes": {"action": "energy", "map": "f1", "grid": [1024, 2**21]},
     "eps-number": {"action": "cutoff", "eps_list": 0.1},
     "eps-string": {"action": "cutoff", "map": "f4", "domain": "weak_rank_one",
                    "eps_list": ["x"]},

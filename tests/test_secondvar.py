@@ -69,6 +69,12 @@ def test_normal_field_is_inadmissible(grid, maps, ball):
     assert abs(chk.real_sup - 1.0) < 1e-12
     with pytest.raises(AdmissibilityError):
         sv.index_form_real(maps["f3"], ball, V)
+    # a pair checks both fields at once and names the one that fails
+    tangent = sv.admissible_basis(maps["f3"], ball, 1)[0]
+    with pytest.raises(AdmissibilityError) as err:
+        sv.index_form_real(maps["f3"], ball, tangent, V)
+    assert "'normal'" in str(err.value) and repr(tangent.label) not in str(err.value)
+    assert err.value.measured_sup == chk.real_sup
 
 
 def test_gram_names_the_first_non_tangent_field(grid, maps, ball):
@@ -127,7 +133,8 @@ def test_scaling_quadratic(c, seed):
     vec = rng.normal(size=4)
     V = _bump_field(grid, vec)
     base = sv.index_form_real(f3, ball, V)
-    scaled = sv.index_form_real(f3, ball, V.scaled(c))
+    cV = sv.VariationField.separable(grid, 2, c * V.profile, V.angular)
+    scaled = sv.index_form_real(f3, ball, cV)
     assert abs(scaled - c**2 * base) <= 1e-10 * max(1.0, abs(c**2 * base))
 
 
@@ -207,16 +214,14 @@ def test_f4_family_requires_rim_zero_sigma(grid):
 
 def test_explicit_acceleration_matches_hypersurface_policy(grid, maps, weak):
     # for the phase-rotation family of f4 the boundary acceleration has
-    # normal component -phi^2 / sqrt(2); handing it over explicitly must
-    # reproduce the hypersurface-policy value
+    # normal component -phi^2 / sqrt(2); the hypersurface policy
+    # -Hess rho (V, V) / |grad rho| must reproduce it node by node
     phi = sv.PolarPoly([(0, 0, 0.4), (2, 2, 0.3)])
     V = sv.f4_variation_field(ZERO, phi, ZERO, ZERO, grid)
-    default = sv.index_form_real(maps["f4"], weak, V)
-    accn = -phi(1.0, grid.theta) ** 2 / np.sqrt(2.0)
-    V_explicit = sv.VariationField(grid, 2, V.values, V.boundary,
-                                   acceleration=accn, label="explicit")
-    explicit = sv.index_form_real(maps["f4"], weak, V_explicit)
-    assert abs(default - explicit) < 1e-12 * max(1.0, abs(default))
+    state = sv.boundary_state(maps["f4"], weak)
+    policy = -np.einsum("mij,mi,mj->m", state.hess, V.boundary, V.boundary) / state.grad_norm
+    explicit = -phi(1.0, grid.theta) ** 2 / np.sqrt(2.0)
+    assert np.max(np.abs(policy - explicit)) < 1e-12
 
 
 def test_fd_constraint_check(grid, maps, ball):
@@ -228,7 +233,7 @@ def test_fd_constraint_check(grid, maps, ball):
                        maps["f3"].boundary + t * V.boundary)
 
     with pytest.raises(ConstraintViolationError):
-        sv.fd_second_variation(family, df=ball, h=0.05, tol_constraint=1e-8)
+        sv.fd_second_variation(family, df=ball, h=0.05)
 
 
 def test_fd_dbar_only_density_matches_full_energies(grid, maps, ball):
@@ -434,7 +439,7 @@ def test_polar_poly_grouped_by_frequency_matches_term_sum(grid, rng):
 
 
 def test_log_cutoff_profile_values():
-    cut = sv.log_cutoff(1e-2)
+    cut = sv.LogCutoff(1e-2)
     assert cut(1.0) == 1.0
     assert cut(0.5e-4) == 0.0  # eps^2 / 2
     assert cut(2e-2) == 1.0
@@ -444,7 +449,7 @@ def test_log_cutoff_profile_values():
 def test_log_cutoff_dirichlet_bound():
     values = []
     for eps in (1e-2, 1e-3, 1e-4):
-        cut = sv.log_cutoff(eps)
+        cut = sv.LogCutoff(eps)
         bound = 2.2 * np.pi / abs(np.log(eps))
         assert cut.dirichlet_integral <= bound
         values.append(cut.dirichlet_integral)
@@ -455,7 +460,7 @@ def test_log_cutoff_dirichlet_quadrature_oracle():
     # independent check of the closed-form Dirichlet integral by dense
     # trapezoid quadrature in the log radial variable
     for eps in (1e-2, 1e-3):
-        cut = sv.log_cutoff(eps)
+        cut = sv.LogCutoff(eps)
         s = np.linspace(2.0 * np.log(eps), np.log(eps), 20001)
         r = np.exp(s)
         integrand = cut.derivative(r) ** 2 * r**2  # |grad|^2 r dr = (.) e^{2s} ds
@@ -466,15 +471,15 @@ def test_log_cutoff_dirichlet_quadrature_oracle():
 def test_log_cutoff_derivative_bound(grid):
     radii = np.concatenate([grid.r, np.geomspace(1e-9, 1.0, 4001)])
     for eps in (1e-2, 1e-3, 1e-4):
-        cut = sv.log_cutoff(eps)
+        cut = sv.LogCutoff(eps)
         assert cut.derivative_bound_factor(radii) <= 1.1
 
 
 def test_log_cutoff_range_errors():
     with pytest.raises(ValueError):
-        sv.log_cutoff(0.5)  # >= 1/e
+        sv.LogCutoff(0.5)  # >= 1/e
     with pytest.raises(ValueError):
-        sv.log_cutoff(0.0)
+        sv.LogCutoff(0.0)
 
 
 def test_cutoff_stability_transfer(grid, maps, weak):
