@@ -5,7 +5,7 @@
 
 Exit codes: 0 success, 2 refusal (the requested certificate does not apply
 to the inputs, e.g. certifying a holomorphic map or a weakly pseudoconvex
-domain), 1 any other error.
+domain), 1 any other error, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def config_from_args(args) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help (0) or a usage error
+        return 1 if exc.code else 0
     try:
         config = config_from_args(args)
         report = run(config)

@@ -21,7 +21,7 @@ which is DBAR_RAW_FACTOR times E''.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,6 +69,19 @@ MAX_N_R = 1024
 MAX_NODES = 2**20
 
 
+@lru_cache(maxsize=4)
+def _radial_rule(n_r: int):
+    """Read-only Gauss-Legendre r on (0, 1), weights for int_0^1 . dr, d/dr and
+    its row at r = 1 over [r, 1], shared by the grids of one n_r (8 MB at 1024)."""
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * (x + 1.0)
+    rule = (r, 0.5 * w, _differentiation_matrix(r),
+            _differentiation_matrix(np.concatenate([r, [1.0]]))[-1])
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 class DiskGrid:
     """Polar tensor grid on the unit disk with spectral operators.
 
@@ -88,9 +101,7 @@ class DiskGrid:
             )
         self.n_r = n_r
         self.n_theta = n_theta
-        x, w = np.polynomial.legendre.leggauss(n_r)
-        self.r = 0.5 * (x + 1.0)
-        self.w_r = 0.5 * w  # weights for int_0^1 . dr
+        self.r, self.w_r, self._d_r, self._d1_row = _radial_rule(n_r)
         self.theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         self.w_theta = 2.0 * np.pi / n_theta
         self.cos_t = np.cos(self.theta)
@@ -98,11 +109,6 @@ class DiskGrid:
         self.inv_r = 1.0 / self.r
         # 2D weights for int_D . dx dy = int . r dr dtheta
         self.w_disk = (self.w_r * self.r)[:, None] * np.full(n_theta, self.w_theta)[None, :]
-        self._d_r = _differentiation_matrix(self.r)
-        # differentiation row at r = 1 over nodes [r_1..r_nr, 1]
-        nodes = np.concatenate([self.r, [1.0]])
-        d_aug = _differentiation_matrix(nodes)
-        self._d1_row = d_aug[-1]
         # i k over the full spectrum (complex input) and over the half
         # spectrum of rfft (real input); the Nyquist mode is last in the half
         # spectrum and at n_theta // 2 in the full one

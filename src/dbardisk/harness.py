@@ -154,13 +154,11 @@ class Report:
 # JSON with stable float formatting
 
 
-def _format_float(x: float, where: str) -> str:
-    if not np.isfinite(x):
-        raise NonFiniteValueError(f"report value {where} is {x}, not a finite number")
-    return format(float(x), ".17g")
+class _NonFinite(Exception):
+    """A NaN or an infinity; each container adds its JSON path segment."""
 
 
-def _json_value(obj, where="$") -> str:
+def _json_value(obj) -> str:
     import json as _json
 
     if obj is None or isinstance(obj, bool):
@@ -168,27 +166,44 @@ def _json_value(obj, where="$") -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj), where)
+        x = float(obj)
+        if x - x != 0.0:  # an infinity or a NaN
+            raise _NonFinite(x)
+        return format(x, ".17g")
     if isinstance(obj, str):
         return _json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(
-            _json_value(v, f"{where}[{i}]") for i, v in enumerate(obj)
-        ) + "]"
+        parts = []
+        try:
+            for v in obj:
+                parts.append(_json_value(v))
+        except _NonFinite as exc:
+            exc.args += (f"[{len(parts)}]",)
+            raise
+        return "[" + ", ".join(parts) + "]"
     if isinstance(obj, np.ndarray):
-        return _json_value(obj.tolist(), where)
+        return _json_value(obj.tolist())
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ", ".join(
-            f"{_json.dumps(str(k))}: {_json_value(v, f'{where}.{k}')}" for k, v in items
-        ) + "}"
+        parts = []
+        try:
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+                parts.append(f"{_json.dumps(str(k))}: {_json_value(v)}")
+        except _NonFinite as exc:
+            exc.args += (f".{k}",)
+            raise
+        return "{" + ", ".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json_text(obj) -> str:
     """Strict, deterministic JSON: sorted keys, floats at 17 significant
     digits. Raises NonFiniteValueError on NaN or an infinity."""
-    return _json_value(obj) + "\n"
+    try:
+        return _json_value(obj) + "\n"
+    except _NonFinite as exc:
+        value, *path = exc.args
+        raise NonFiniteValueError(f"report value ${''.join(reversed(path))} is {value}, "
+                                  "not a finite number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +347,16 @@ def emit(report: Report, out_dir) -> list:
     paths.append(jpath)
     for name, (labels, matrix) in report.matrices.items():
         cpath = os.path.join(out_dir, f"{name}.csv")
-        matrix = np.asarray(matrix, dtype=float)
-        # one format string per row: the bytes csv.writer writes for
-        # format(v, ".17g") entries, which never need quoting
-        row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
+        # csv.writer's bytes for format(v, ".17g") cells, which need no quotes;
+        # each distinct bit pattern (-0.0 is not 0.0) is formatted once
+        matrix = np.ascontiguousarray(matrix, dtype=float)
+        bits, where = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+        rows = text[where.reshape(matrix.shape)].tolist()
         try:
             with open(cpath, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(labels)
-                fh.writelines(row_format % tuple(row) for row in matrix.tolist())
+                fh.writelines(",".join(row) + "\r\n" for row in rows)
         except OSError as exc:
             raise DbarDiskError(f"cannot write matrix to {cpath}: {exc}") from exc
         paths.append(cpath)

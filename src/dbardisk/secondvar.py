@@ -320,7 +320,10 @@ def _separable_interior(grid: DiskGrid, basis) -> np.ndarray:
     (weight w_r / r) times angular Grams of A and of A_theta, entrywise.
     """
     m = len(basis)
-    p = np.array([V.profile(grid.r) for V in basis])
+    # one evaluation per distinct profile; the basis builders share them
+    profiles = {id(V.profile): V.profile for V in basis}
+    on_r = {key: prof(grid.r) for key, prof in profiles.items()}
+    p = np.array([on_r[id(V.profile)] for V in basis])
     ang = np.array([V.angular for V in basis])
     dp = p @ grid._d_r.T
     ang_t = grid.theta_derivative(ang, axis=1).reshape(m, -1)
@@ -355,14 +358,15 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
             grads[i, 0], grads[i, 1] = V.gradients()
         interior = _kernels.gram_interior(grads, grid.w_disk)
 
-    # acceleration block: -sum_m w lam/|grad| (V_i . Hess . V_j)
-    hv = np.einsum("mij,amj->ami", state.hess, vb)
-    wfac = grid.w_theta * state.lam / state.grad_norm
-    acc = -(hv * wfac[:, None]).reshape(m, -1) @ vb.reshape(m, -1).T
+    # acceleration block: -sum_m w lam/|grad| (V_a . Hess . V_b), Hess V_a per node
+    hv = state.hess @ vb.transpose(1, 2, 0)
+    hv *= (grid.w_theta * state.lam / state.grad_norm)[:, None, None]
+    hv = np.ascontiguousarray(hv.transpose(2, 0, 1))
+    acc = -hv.reshape(m, -1) @ vb.reshape(m, -1).T
 
     # circulation block, symmetrized
     jt = apply_j(grid.theta_derivative(vb, axis=1))
-    c1 = grid.w_theta * np.einsum("ami,bmi->ab", jt, vb)
+    c1 = grid.w_theta * (jt.reshape(m, -1) @ vb.reshape(m, -1).T)
     circ = 0.5 * (c1 + c1.T)
 
     gram = 0.5 * (interior + acc + circ)
@@ -845,16 +849,16 @@ def interior_bumps(grid: DiskGrid, n: int, count: int):
     fields = []
     dim = 2 * n
     for k in range(KMAX + 1):
-        trigs = [("cos", lambda t, k=k: np.cos(k * t))]
+        trigs = [("cos", np.cos(k * grid.theta))]
         if k > 0:
-            trigs.append(("sin", lambda t, k=k: np.sin(k * t)))
+            trigs.append(("sin", np.sin(k * grid.theta)))
+        prof = np.polynomial.Polynomial([0.0] * k + [1.0, 0.0, -1.0])
         for tag, trig in trigs:
             for c in range(dim):
                 if len(fields) >= count:
                     return fields
-                prof = np.polynomial.Polynomial([0.0] * k + [1.0]) * np.polynomial.Polynomial([1.0, 0.0, -1.0])
                 ang = np.zeros((grid.n_theta, dim))
-                ang[:, c] = trig(grid.theta)
+                ang[:, c] = trig
                 fields.append(
                     VariationField.separable(
                         grid, n, prof, ang, label=f"bump-k{k}-{tag}-e{c}"
@@ -881,6 +885,7 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int):
         trigs = [("cos", np.cos(k * grid.theta))]
         if k > 0:
             trigs.append(("sin", np.sin(k * grid.theta)))
+        prof = np.polynomial.Polynomial([0.0] * (k + 2) + [1.0])
         for tag, trig in trigs:
             for c in range(dim):
                 if len(fields) >= size:
@@ -889,7 +894,6 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int):
                 e[c] = 1.0
                 tangent = e[None, :] - state.nu * state.nu[:, c][:, None]
                 ang = trig[:, None] * tangent
-                prof = np.polynomial.Polynomial([0.0] * (k + 2) + [1.0])
                 fields.append(
                     VariationField.separable(
                         grid, f.n, prof, ang, label=f"frame-k{k}-{tag}-e{c}"

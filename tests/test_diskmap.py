@@ -102,6 +102,20 @@ def test_differentiation_matrix_matches_loop_definition(n_r):
     assert np.array_equal(grid._d1_row, d_aug[-1])
 
 
+def test_grids_of_one_n_r_share_a_read_only_radial_rule():
+    a, b = DiskGrid(24, 32), DiskGrid(24, 64)
+    x, w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(a.r, 0.5 * (x + 1.0))
+    assert np.array_equal(a.w_r, 0.5 * w)
+    for name in ("r", "w_r", "_d_r", "_d1_row"):
+        arr = getattr(a, name)
+        assert arr is getattr(b, name), name
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert DiskGrid(25, 32).r is not a.r
+
+
 def test_boundary_radial_derivative(grid):
     poly = np.polynomial.Polynomial([0.0, 0.5, 0.0, 1.5])
     vals = poly(grid.r)[:, None, None] * np.ones((1, grid.n_theta, 1))

@@ -144,6 +144,15 @@ def test_json_refuses_non_finite(bad, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_json_path_of_a_non_finite_value_nested_in_lists_and_dicts():
+    doc = {"a": [{"b": 1.0}, {"c": [0.0, 2.0, np.float64("-inf")]}], "z": 1.0}
+    with pytest.raises(NonFiniteValueError,
+                       match=r"^report value \$\.a\[1\]\.c\[2\] is -inf, not a finite number$"):
+        to_json_text(doc)
+    with pytest.raises(NonFiniteValueError, match=r"^report value \$ is nan,"):
+        to_json_text(float("nan"))
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path):
     cfg = dict(action="index", domain="ball4", map="f3", basis_size=12,
                seed=3, deterministic=True)
@@ -196,6 +205,28 @@ def test_emit_csv_bytes_match_per_entry_writer(tmp_path):
                 == (tmp_path / f"{name}.csv").read_bytes()), name
 
 
+def test_emit_csv_of_distinct_values_matches_per_entry_writer(tmp_path):
+    rep = run(ScenarioConfig(action="energy", map="f1"))
+    rng = np.random.default_rng(5)
+    a = rng.choice([0.0, -0.0, 1.5, -2.25, 1.0 / 3.0, 7e-300], size=(9, 9))
+    sym = a + a.T
+    sym[0, 1], sym[1, 0], sym[2, 2] = 0.0, -0.0, -0.0
+    cases = {"symmetric": sym,
+             "fortran": np.asfortranarray(rng.standard_normal((6, 4))),
+             "fortran_symmetric": np.asfortranarray(sym),
+             "one_row": rng.standard_normal((1, 5)),
+             "one_column": np.array([[-0.0], [0.0], [-0.0], [1e-320]]),
+             "transposed": rng.standard_normal((3, 7)).T}
+    rep.matrices = {name: ([f"c{j}" for j in range(m.shape[1])], m)
+                    for name, m in cases.items()}
+    emit(rep, tmp_path / "out")
+    for name, (labels, matrix) in rep.matrices.items():
+        _per_entry_csv(tmp_path / f"{name}.csv", labels, matrix)
+        assert ((tmp_path / "out" / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}.csv").read_bytes()), name
+    assert b"-0," in (tmp_path / "out" / "symmetric.csv").read_bytes()
+
+
 def test_report_schema_golden():
     rep = run(ScenarioConfig(action="energy", map="f1", deterministic=True))
     doc = json.loads(to_json_text(rep.to_json_dict()))
@@ -228,6 +259,20 @@ def test_cli_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["energy", "--map", "nope"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown map 'nope'")
+
+
+@pytest.mark.parametrize("argv", [["index", "--bogus"], ["certify", "--grid", "4x8"],
+                                  ["nope"], [], ["energy", "--seed", "x"]])
+def test_cli_malformed_command_line_is_an_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage: dbardisk" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: dbardisk" in capsys.readouterr().out
 
 
 def test_cli_config_file_and_out(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,11 @@ from dbardisk.errors import (
     EmptyBasisError,
     InvalidVariationError,
 )
-from dbardisk.geometry import DefiningFunction, make_domain
+from dbardisk.geometry import DefiningFunction, apply_j, make_domain
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402  (the benchmark's Gram ladder and map specs)
 
 
 def _const_field(grid, vec, label="const"):
@@ -361,6 +368,59 @@ def test_gram_entries_match_index_form(gram_cases, case):
         direct = sv.index_form_real(f, df, basis[i], basis[j])
         scale = max(abs(g[i, j]), np.sqrt(abs(g[i, i] * g[j, j])))
         assert abs(g[i, j] - direct) <= 1e-10 * scale, (i, j)
+
+
+def _gram_by_einsum(f, df, basis):
+    """The Gram matrix with the boundary blocks in the einsum forms that
+    assemble_gram's matrix products replaced, and each profile evaluated
+    per field."""
+    grid, m = f.grid, len(basis)
+    state = sv.boundary_state(f, df)
+    p = np.array([V.profile(grid.r) for V in basis])
+    ang = np.array([V.angular for V in basis])
+    dp = p @ grid._d_r.T
+    ang_t = grid.theta_derivative(ang, axis=1).reshape(m, -1)
+    ang = ang.reshape(m, -1)
+    r1 = (dp * (grid.w_r * grid.r)) @ dp.T
+    r2 = (p * (grid.w_r * grid.inv_r)) @ p.T
+    interior = grid.w_theta * (r1 * (ang @ ang.T) + r2 * (ang_t @ ang_t.T))
+    vb = np.array([V.boundary for V in basis])
+    hv = np.einsum("mij,amj->ami", state.hess, vb)
+    wfac = grid.w_theta * state.lam / state.grad_norm
+    acc = -(hv * wfac[:, None]).reshape(m, -1) @ vb.reshape(m, -1).T
+    jt = apply_j(grid.theta_derivative(vb, axis=1))
+    c1 = grid.w_theta * np.einsum("ami,bmi->ab", jt, vb)
+    gram = 0.5 * (interior + acc + 0.5 * (c1 + c1.T))
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("kind, n, shape, size",
+                         workloads.GRAM_LADDER + [("conj", 3, (32, 64), 80)])
+def test_gram_matrix_products_match_einsum_forms(kind, n, shape, size):
+    # every rung of the benchmark's Gram ladder, plus the C^3 ball on a coarse grid
+    rng = np.random.default_rng(size)
+    grid, angle = DiskGrid(*shape), workloads._angle(rng)
+    if kind == "f4":
+        f = make_map(workloads.map_spec(workloads.rotated_f4(angle), "f4-rot"), grid)
+        df = make_domain("weak_rank_one")
+    else:
+        slot = int(rng.integers(n))
+        f = make_map(workloads.map_spec(workloads.conj_disk(n, slot, angle), "conj"), grid)
+        df = make_domain(workloads.ball_spec(n))
+    basis = sv.admissible_basis(f, df, size)
+    got = sv.assemble_gram(f, df, basis).matrix
+    want = _gram_by_einsum(f, df, basis)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+def test_basis_fields_of_one_frequency_share_a_profile(grid, maps, ball):
+    basis = sv.admissible_basis(maps["f3"], ball, 40)
+    by_label = {V.label: V for V in basis}
+    assert by_label["frame-k1-cos-e0"].profile is by_label["frame-k1-sin-e3"].profile
+    assert by_label["frame-k1-cos-e0"].profile is not by_label["frame-k2-cos-e0"].profile
+    bumps = sv.interior_bumps(grid, 2, 12)
+    assert all(V.profile is bumps[0].profile for V in bumps[:4])
+    assert bumps[4].profile is bumps[11].profile is not bumps[0].profile
 
 
 def test_gram_generic_entries_match_index_form(grid, maps, ball):
