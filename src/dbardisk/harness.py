@@ -283,8 +283,7 @@ def run(config: ScenarioConfig) -> Report:
         basis = admissible_basis(f, df, config.basis_size)
         gram = assemble_gram(
             f, df, basis, **tol,
-            description=f"projected-frame+bumps size={config.basis_size} "
-                        f"seed={config.seed}",
+            description=f"projected-frame+bumps size={config.basis_size}",
         )
         results["gram"] = gram.to_json_dict()
         matrices["gram"] = (gram.labels, gram.matrix)

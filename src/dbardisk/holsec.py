@@ -400,23 +400,32 @@ def build_U(f: DiskMap, tol_holo: float = 1e-8) -> USections:
     # harmonic_residual uses, away from the noise at the centre and the rim.
     # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 and |e^{i theta}| = 1
     cr = grid.radial_derivative(coeff)
-    ct = grid.theta_derivative(coeff)
-    dbar_c = 0.5 * np.abs(cr + 1j * ct * grid.inv_r[:, None, None])
+    ct = grid.theta_derivative(coeff) * grid.inv_r[:, None, None]
+    dbar_c = cr + 1j * ct
     annulus = (grid.r >= INNER_RADIUS) & (grid.r <= INTERIOR_RADIUS)
-    dbar_sup = float(np.max(dbar_c[annulus]))
+    dbar_sup = 0.5 * float(np.max(np.abs(dbar_c[annulus])))
+    # per coefficient: G_k = int |grad c_k|^2 and D_k = int |c_r + i c_theta / r|^2
+    w = grid.w_disk.ravel()
+    grad2 = w @ (cr.real**2 + cr.imag**2 + ct.real**2 + ct.imag**2).reshape(-1, n)
+    dbar2 = w @ (dbar_c.real**2 + dbar_c.imag**2).reshape(-1, n)
 
-    vec = np.hstack([np.eye(n), -1j * np.eye(n)])      # row j is V_j
+    def section(c, j):
+        """U_j = c_p V_j - c_j V_p for coefficients c (..., n): (..., 2n)."""
+        u = np.zeros(c.shape[:-1] + (2 * n,), dtype=complex)
+        u[..., j], u[..., n + j] = c[..., pivot], -1j * c[..., pivot]
+        u[..., pivot], u[..., n + pivot] = -c[..., j], 1j * c[..., j]
+        return u
+
+    # U_j is (c_p, -i c_p, -c_j, i c_j) on (x_j, y_j, x_p, y_p): Re U_j and
+    # Im U_j each carry |grad c_p|^2 + |grad c_j|^2, and the interior term
+    # 1/2 |U_r + i U_theta / r|^2 of the complex form is |dbar_p|^2 + |dbar_j|^2
     others = [j for j in range(n) if j != pivot]
-
-    def combine(c):
-        """U_j = c_p V_j - c_j V_p for coefficients (..., n): (n - 1, ..., 2n)."""
-        c = np.moveaxis(c, -1, 0)[..., None]
-        v = vec[others].reshape((len(others),) + (1,) * (c.ndim - 2) + (2 * n,))
-        return c[pivot] * v - c[others] * vec[pivot]
-
-    vals, bvals = combine(coeff), combine(coeff_b)
-    sections = [VariationField(grid, n, vals[i], bvals[i], label=f"U{j}")
-                for i, j in enumerate(others)]
+    sections = [
+        VariationField._lazy(grid, n, lambda j=j: section(coeff, j), section(coeff_b, j),
+                             f"U{j}", (dbar2[pivot] + dbar2[j], grad2[pivot] + grad2[j],
+                                       grad2[pivot] + grad2[j]))
+        for j in others]
+    bvals = np.array([U.boundary for U in sections])
     return USections(
         sections=sections,
         pivot=pivot,

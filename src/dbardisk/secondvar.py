@@ -88,16 +88,20 @@ class VariationField:
     policy, <A, nu> = -Hess rho (V, V) / |grad rho|.
 
     A field built by ``separable`` or ``constant`` is stored only as its
-    factors, values[i, j, :] = profile(r_i) * angular[j, :]: values is
-    computed from them on first read, and values, angular and boundary are
-    read-only, so the field always equals its factors. The cutoff machinery
-    evaluates such a field on radii off the grid and Gram assembly factors
-    its interior block. A field built from samples has no factors
-    (profile and angular are None).
+    factors, values[i, j, :] = profile(r_i) * angular[j, :]; values, angular
+    and boundary are read-only, so the field always equals its factors. The
+    cutoff machinery evaluates such a field on radii off the grid and Gram
+    assembly factors its interior block. A field built from samples has no
+    factors (profile and angular are None). Fields that their builders know
+    in closed form (separable ones, the sections of ``holsec.build_U`` and
+    the real and imaginary parts) form values on first read, read-only.
     """
 
     profile = None
     angular = None
+    # interior terms that the field's structure gives, when it does: those of
+    # index_form_complex(V) and of index_form_real on Re V and on Im V
+    _interior = None
 
     def __init__(self, grid: DiskGrid, n: int, values: np.ndarray, boundary: np.ndarray,
                  label: str = "field"):
@@ -106,6 +110,14 @@ class VariationField:
             raise ValueError(f"values shape {values.shape}, expected {expect}")
         self.grid, self.n, self._values, self.boundary = grid, n, values, boundary
         self.label = label
+
+    @classmethod
+    def _lazy(cls, grid, n, build, boundary, label, interior=None):
+        """A field whose values build() forms on first read."""
+        V = cls.__new__(cls)
+        V.grid, V.n, V._values, V._build = grid, n, None, build
+        V.boundary, V.label, V._interior = boundary, label, interior
+        return V
 
     @classmethod
     def constant(cls, grid, n, vector, label="const"):
@@ -117,17 +129,15 @@ class VariationField:
         angular, expect = _frozen(np.array(angular)), (grid.n_theta, 2 * n)
         if angular.shape != expect:
             raise ValueError(f"angular shape {angular.shape}, expected {expect}")
-        V = cls.__new__(cls)
-        V.grid, V.n, V._values, V.label = grid, n, None, label
+        V = cls._lazy(grid, n, lambda: profile(grid.r)[:, None, None] * angular[None, :, :],
+                      _frozen(profile(1.0) * angular), label)
         V.profile, V.angular = profile, angular
-        V.boundary = _frozen(profile(1.0) * angular)
         return V
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            prof_r = self.profile(self.grid.r)
-            self._values = _frozen(prof_r[:, None, None] * self.angular[None, :, :])
+            self._values = _frozen(self._build())
         return self._values
 
     def gradients(self):
@@ -137,15 +147,20 @@ class VariationField:
         ft = self.grid.theta_derivative(self.values)
         return fr, ft * self.grid.inv_r[:, None, None]
 
+    def _part(self, take, slot, label):
+        # a real field a has 1/2 |a_r + i a_theta / r|^2 = |grad a|^2 / 2
+        g = None if self._interior is None else self._interior[slot]
+        interior = None if g is None else (0.5 * g, g, 0.0)
+        return VariationField._lazy(self.grid, self.n, lambda: take(self.values).copy(),
+                                    take(self.boundary).copy(), label, interior)
+
     @property
     def real_part(self):
-        return VariationField(self.grid, self.n, self.values.real.copy(),
-                              self.boundary.real.copy(), label=f"Re({self.label})")
+        return self._part(np.real, 1, f"Re({self.label})")
 
     @property
     def imag_part(self):
-        return VariationField(self.grid, self.n, self.values.imag.copy(),
-                              self.boundary.imag.copy(), label=f"Im({self.label})")
+        return self._part(np.imag, 2, f"Im({self.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +245,12 @@ def index_form_real(f: DiskMap, df: DefiningFunction, V: VariationField,
     W = V if diagonal else Vb
     vb, wb = _tangent_traces(state, [V] if diagonal else [V, W])[[0, -1]]
 
-    vr, vt = V.gradients()
-    wr, wt = (vr, vt) if diagonal else W.gradients()
-    interior = grid.integrate_disk(np.sum(vr * wr + vt * wt, axis=-1))
+    if diagonal and V._interior is not None:
+        interior = V._interior[1]
+    else:
+        vr, vt = V.gradients()
+        wr, wt = (vr, vt) if diagonal else W.gradients()
+        interior = grid.integrate_disk(np.sum(vr * wr + vt * wt, axis=-1))
 
     accn = -_hess_pair(state, vb, wb) / state.grad_norm
     acc_term = grid.integrate_boundary(state.lam * accn)
@@ -264,10 +282,13 @@ def index_form_complex(f: DiskMap, df: DefiningFunction, V: VariationField) -> f
             f"(sup |<<V, f_zbar>>| = {chk.complex_sup:.3e})",
             measured_sup=chk.complex_sup,
         )
-    # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2, so
-    # 2 |dV/dzbar|^2 = |V_r + i V_theta / r|^2 / 2
-    vr, vt = V.gradients()
-    t_interior = 0.5 * grid.integrate_disk(np.sum(np.abs(vr + 1j * vt) ** 2, axis=-1))
+    if V._interior is not None:
+        t_interior = V._interior[0]
+    else:
+        # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2, so
+        # 2 |dV/dzbar|^2 = |V_r + i V_theta / r|^2 / 2
+        vr, vt = V.gradients()
+        t_interior = 0.5 * grid.integrate_disk(np.sum(np.abs(vr + 1j * vt) ** 2, axis=-1))
 
     a = V.boundary.real
     b = V.boundary.imag
@@ -516,9 +537,18 @@ class PolarPoly:
             self._by_freq.setdefault(k, []).append((p, c))
 
     def __call__(self, r, theta):
-        """Sum over frequencies k of (sum_p c r^p) e^{i k theta}, real part."""
+        """Sum over frequencies k of (sum_p c r^p) e^{i k theta}, real part;
+        on a tensor grid (r a column, theta a row) one matrix product of the
+        radial sums (n_r, K) and the phases (K, n_theta)."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        if r.ndim == theta.ndim == 2 and r.shape[1] == theta.shape[0] == 1:
+            radial = np.zeros((r.shape[0], len(self._by_freq)), dtype=complex)
+            for col, group in zip(radial.T, self._by_freq.values()):
+                col += sum(c * r[:, 0]**p for p, c in group)
+            ang = np.multiply.outer(list(self._by_freq), theta[0])
+            # Re (R e^{i k theta}) = Re R cos k theta - Im R sin k theta
+            return np.hstack([radial.real, radial.imag]) @ np.vstack([np.cos(ang), -np.sin(ang)])
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
         for k, group in self._by_freq.items():
             radial = sum(c * r**p for p, c in group)

@@ -69,6 +69,14 @@ def test_run_index_f4_weak_stable():
     assert np.asarray(matrix).shape == (52, 52)
 
 
+def test_index_results_do_not_depend_on_the_seed():
+    # the basis is deterministic; the seed reaches only the f4 family
+    texts = [to_json_text(run(ScenarioConfig(action="index", domain="ball4", map="f3",
+                                             basis_size=12, seed=seed)).results)
+             for seed in (0, 5)]
+    assert texts[0] == texts[1]
+
+
 def test_run_levi_synthetic_c3():
     cfg = ScenarioConfig(action="levi", domain=SYNTHETIC_C3_DOMAIN,
                          map=SYNTHETIC_C3_MAP, k=2)

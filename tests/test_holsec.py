@@ -9,12 +9,13 @@ from dbardisk import holsec
 from dbardisk import secondvar as sv
 from dbardisk.diskmap import DiskGrid, DiskMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
-from dbardisk.geometry import apply_j, hermitian
+from dbardisk.geometry import apply_j, hermitian, make_domain
 from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import workloads  # noqa: E402  (the benchmark's seeded connections)
+from conftest import ball_spec  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -569,3 +570,67 @@ def test_dbar_check_sees_a_non_harmonic_perturbation(ball):
     boundary[:, 0] += 1e-6
     g = DiskMap(grid, 2, values, boundary, analytic=None)
     assert build_U(g).dbar_coefficient_sup > 1e-8
+
+
+# (coefficients a_k, grid, rotation steps) of (a_1 zbar^2, ..., a_n zbar^2)
+# with |a| = 1 in the unit ball of C^n: critical with lambda = 4, and its
+# pairing coefficients are not constant; a rotation gives a sampled copy
+ZBAR2_CASES = {
+    "ball4": ([1.0, 0.0], (32, 64), 0),
+    "ball6": ([np.exp(0.3j), 0.0, 0.0], (48, 256), 0),
+    "ball6-rotated": ([np.exp(0.3j), 0.0, 0.0], (48, 256), 37),
+    "ball6-tilted": ([0.6, 0.8j, 0.0], (48, 256), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZBAR2_CASES))
+def test_sections_match_their_dense_copies(case):
+    # a section forms its values on first read and takes the interior terms
+    # of its index forms from the coefficients c_k; a dense copy of the same
+    # samples takes them from VariationField.gradients()
+    a, shape, steps = ZBAR2_CASES[case]
+    n, grid = len(a), DiskGrid(*shape)
+    spec = {"n": n, "name": "zbar2", "coords": [
+        [{"zp": 0, "zq": 2, "re": c.real, "im": c.imag}] if c else [] for c in map(complex, a)]}
+    f = make_map(spec, grid)
+    f = f.rotated(steps) if steps else f
+    df = make_domain(ball_spec(n))
+    us = build_U(f)
+    g = f.derivatives().f_zbar
+    coeff = g[..., :n] - 1j * g[..., n:]
+    vec = np.hstack([np.eye(n), -1j * np.eye(n)])
+    p = us.pivot
+    for j, U in zip([j for j in range(n) if j != p], us.sections):
+        # the broadcast U_j = c_p V_j - c_j V_p, bit for bit apart from the
+        # sign of zeros
+        got = U.values.view(float)
+        want = (coeff[..., p, None] * vec[j] - coeff[..., j, None] * vec[p]).view(float)
+        assert not U.values.flags.writeable
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.array_equal(got[want != 0.0].view(np.uint64),
+                              want[want != 0.0].view(np.uint64))
+        dense = sv.VariationField(grid, n, U.values.copy(), U.boundary.copy())
+        pairs = [(sv.index_form_complex(f, df, U), sv.index_form_complex(f, df, dense))]
+        pairs += [(sv.index_form_real(f, df, a), sv.index_form_real(f, df, b))
+                  for a, b in ((U.real_part, dense.real_part), (U.imag_part, dense.imag_part))]
+        for value, reference in pairs:
+            assert abs(value - reference) <= 2e-14 * abs(reference)
+
+
+def test_certificate_memory(conj_ball, monkeypatch):
+    # with dense sections and their gradients a certificate at n = 4, 32x512
+    # peaked at 22-23 MiB; from the coefficients it forms no field gradient
+    # and peaks at 11.2 MiB
+    dom, f = conj_ball(4, DiskGrid(32, 512))
+
+    def no_gradients(V):
+        raise AssertionError(f"gradients of {V.label}")
+
+    monkeypatch.setattr(sv.VariationField, "gradients", no_gradients)
+    tracemalloc.start()
+    try:
+        assert certify_index(f, dom).certified_bound == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.0 * 2**20

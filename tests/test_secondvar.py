@@ -168,6 +168,20 @@ ZERO = sv.PolarPoly.zero()
 ONE_MINUS_R2 = sv.PolarPoly([(0, 0, 1.0), (2, 0, -1.0)])
 
 
+def test_polar_poly_product_matches_the_loop(grid, rng):
+    # a tensor grid takes one matrix product, broadcast arrays the loop over
+    # frequencies
+    r, t = grid.r[:, None], grid.theta[None, :]
+    shape = (grid.n_r, grid.n_theta)
+    poly = sv.random_polar_poly(rng)
+    for F in (poly, poly.d_r(), poly.d_theta(), sv.random_polar_poly(rng, rim_zero=True),
+              ONE_MINUS_R2, ZERO):
+        product = F(r, t)
+        loop = F(np.broadcast_to(r, shape), np.broadcast_to(t, shape))
+        assert product.shape == shape
+        assert np.max(np.abs(product - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
 def test_f4_family_hand_value(grid, maps, weak):
     # sigma = 1 - r^2 alone: the closed form integrates (r sigma_r)^2 = 4 r^4
     # over the disk, which is 4 pi / 3
