@@ -36,20 +36,17 @@ INNER_RADIUS = 0.05
 def harmonic_residual(f: DiskMap) -> float:
     """Sup norm of the componentwise Laplacian of f.
 
-    Exact Laplacian closures are used when the map carries an analytic
-    evaluator; otherwise repeated spectral differentiation restricted to
-    the annulus 0.05 <= r <= 0.95.
+    The exact Laplacian is used when the map carries an analytic evaluator;
+    otherwise repeated spectral differentiation restricted to the annulus
+    0.05 <= r <= 0.95.
     """
     grid = f.grid
     if f.analytic is not None:
-        z = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
-        lap = f.analytic.laplacian_map().evaluate(z)
-        mags = np.sqrt(np.sum(np.abs(lap) ** 2, axis=-1))
-        return float(np.max(mags))
-    lap = grid.laplacian(f.values)
-    mask = (grid.r <= INTERIOR_RADIUS) & (grid.r >= INNER_RADIUS)
-    mags = np.linalg.norm(lap[mask], axis=-1)
-    return float(np.max(mags))
+        lap = f.analytic.sample(grid, "laplacian")
+    else:
+        mask = (grid.r <= INTERIOR_RADIUS) & (grid.r >= INNER_RADIUS)
+        lap = grid.laplacian(f.values)[mask]
+    return float(np.max(np.linalg.norm(lap, axis=-1)))
 
 
 @dataclass
@@ -124,7 +121,7 @@ class CriticalityReport:
         return {
             "harmonic_residual": self.harmonic_residual,
             "boundary_residual": self.boundary_residual,
-            "lambda": [float(v) for v in self.lambda_values],
+            "lambda": self.lambda_values.tolist(),
             "lambda_min": self.lambda_min,
             "conformality_defect": self.conformality_defect,
             "critical": self.critical,

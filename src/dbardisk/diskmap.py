@@ -21,7 +21,7 @@ which is DBAR_RAW_FACTOR times E''.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -167,14 +167,53 @@ class DiskGrid:
 
 
 # ---------------------------------------------------------------------------
-# polynomial maps in z and zbar
+# polynomial maps in z and zbar, evaluated in polar form
+
+
+def polar_sum(terms, r: np.ndarray, theta: np.ndarray, width: int) -> np.ndarray:
+    """Sum of Re(c r^a e^{i k theta}) over terms (a, k, c, col), each into
+    column col, on the tensor grid r x theta: a real (r.size, theta.size,
+    width) array, 0.0 in columns without terms. The terms add up, in order,
+    into radial coefficients R_k per distinct k (one power r^a per distinct
+    a), and Re R_k cos k theta - Im R_k sin k theta over all k is one matrix
+    product with the trig table, batched over r when width > 1."""
+    powers = {a: r**a for a in {t[0] for t in terms}}
+    freqs = list(dict.fromkeys(t[1] for t in terms))
+    slot = {k: i for i, k in enumerate(freqs)}
+    radial = np.zeros((r.size, len(freqs), width), dtype=complex)
+    for a, k, c, col in terms:
+        radial[:, slot[k], col] += c * powers[a]
+    ang = np.multiply.outer(freqs, theta)
+    trig = np.vstack([np.cos(ang), -np.sin(ang)])
+    coef = np.concatenate([radial.real, radial.imag], axis=1)
+    if width == 1:
+        # one (r.size, 2K) x (2K, theta.size) product: a scalar function keeps
+        # its last digits, which the f4 family's second differences amplify
+        return (coef[..., 0] @ trig)[..., None]
+    return np.matmul(trig.T, coef)
+
+
+# polar terms (r-power, frequency, coefficient) of the fields of one term
+# c z^p zbar^q = c r^(p+q) e^{i (p-q) theta}: d/dz and d/dzbar lower p and
+# q, d/dx = d/dz + d/dzbar, d/dy = i (d/dz - d/dzbar) and the Laplacian is
+# 4 d/dz d/dzbar. A vanishing coefficient drops its term.
+_POLAR_TERMS = {
+    "values": lambda p, q, c: [(p + q, p - q, c)],
+    "f_r": lambda p, q, c: [(p + q - 1, p - q, (p + q) * c)],
+    "f_theta": lambda p, q, c: [(p + q, p - q, 1j * (p - q) * c)],
+    "f_x": lambda p, q, c: [(p + q - 1, p - q - 1, p * c), (p + q - 1, p - q + 1, q * c)],
+    "f_y": lambda p, q, c: [(p + q - 1, p - q - 1, 1j * p * c), (p + q - 1, p - q + 1, -1j * q * c)],
+    "f_z": lambda p, q, c: [(p + q - 1, p - q - 1, p * c)],
+    "f_zbar": lambda p, q, c: [(p + q - 1, p - q + 1, q * c)],
+    "laplacian": lambda p, q, c: [(p + q - 2, p - q, 4 * p * q * c)],
+}
 
 
 class PolynomialMap:
     """f: D -> C^n with each coordinate a polynomial sum c z^p zbar^q.
 
-    Carries exact closures for d/dz, d/dzbar and the Laplacian, used as the
-    analytic evaluator of catalog maps.
+    ``sample`` evaluates the map, its first derivatives and its Laplacian
+    exactly, as the analytic evaluator of catalog maps.
     """
 
     def __init__(self, n: int, coords: Sequence[Sequence[tuple]]):
@@ -189,42 +228,23 @@ class PolynomialMap:
                 if p < 0 or q < 0 or not np.isfinite(c):
                     raise ValueError(f"bad polynomial term (p={p}, q={q}, c={c})")
 
-    def _eval_coord(self, terms, z, zbar):
-        out = np.zeros_like(z, dtype=complex)
-        for p, q, c in terms:
-            t = np.full_like(z, c, dtype=complex)
-            if p:
-                t = t * z**p
-            if q:
-                t = t * zbar**q
-            out += t
-        return out
-
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        """Values in C^n, stacked on the last axis."""
-        zbar = np.conj(z)
-        return np.stack([self._eval_coord(t, z, zbar) for t in self.coords], axis=-1)
-
-    def d_z(self) -> "PolynomialMap":
-        return PolynomialMap(
-            self.n,
-            [[(p - 1, q, c * p) for (p, q, c) in t if p] for t in self.coords],
-        )
-
-    def d_zbar(self) -> "PolynomialMap":
-        return PolynomialMap(
-            self.n,
-            [[(p, q - 1, c * q) for (p, q, c) in t if q] for t in self.coords],
-        )
-
-    def laplacian_map(self) -> "PolynomialMap":
-        return PolynomialMap(
-            self.n,
-            [
-                [(p - 1, q - 1, 4.0 * c * p * q) for (p, q, c) in t if p and q]
-                for t in self.coords
-            ],
-        )
+    def sample(self, grid: DiskGrid, field: str = "values",
+               boundary: bool = False) -> np.ndarray:
+        """A field of _POLAR_TERMS as real 2n-vectors on the grid,
+        (n_r, n_theta, 2n), or on the rim, (n_theta, 2n)."""
+        n, derive = self.n, _POLAR_TERMS[field]
+        terms = [(a, k, d, j) for j, coord in enumerate(self.coords)
+                 for p, q, c in coord for a, k, d in derive(p, q, c) if d]
+        if boundary:
+            # at r = 1, term by term the complex product d e^{i k theta}: for
+            # degree <= 1 exactly what complex arithmetic gives for d z or d zbar
+            w = np.zeros((grid.n_theta, n), dtype=complex)
+            for _, k, d, j in terms:
+                w[:, j] += d * np.exp(1j * k * grid.theta)
+            return np.concatenate([w.real, w.imag], axis=-1)
+        # Re into x_j, and Im(d r^a e^{i k theta}) = Re(-i d r^a e^{i k theta}) into y_j
+        terms += [(a, k, complex(d.imag, -d.real), n + j) for a, k, d, j in terms]
+        return polar_sum(terms, grid.r, grid.theta, 2 * n)
 
     def rotate(self, alpha: float) -> "PolynomialMap":
         """Precompose with the disk rotation z -> e^{i alpha} z."""
@@ -236,10 +256,6 @@ class PolynomialMap:
                 for t in self.coords
             ],
         )
-
-
-def _complex_to_real_vectors(w: np.ndarray) -> np.ndarray:
-    return np.concatenate([w.real, w.imag], axis=-1)
 
 
 MAP_CATALOG = {
@@ -259,7 +275,7 @@ class DiskMap:
 
     values has shape (n_r, n_theta, 2n); boundary is the trace f(1, theta_m)
     of shape (n_theta, 2n). analytic, when present, is a PolynomialMap whose
-    exact derivative closures take precedence over spectral differentiation.
+    exact derivatives take precedence over spectral differentiation.
     """
 
     def __init__(self, grid: DiskGrid, n: int, values: np.ndarray, boundary: np.ndarray,
@@ -279,11 +295,8 @@ class DiskMap:
 
     @classmethod
     def from_polynomial(cls, pm: PolynomialMap, grid: DiskGrid, name: str = "poly") -> "DiskMap":
-        z = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
-        zb = np.exp(1j * grid.theta)
-        values = _complex_to_real_vectors(pm.evaluate(z))
-        boundary = _complex_to_real_vectors(pm.evaluate(zb))
-        return cls(grid, pm.n, values, boundary, analytic=pm, name=name)
+        return cls(grid, pm.n, pm.sample(grid), pm.sample(grid, boundary=True),
+                   analytic=pm, name=name)
 
     def derivatives(self) -> "Derivatives":
         if self._derivs is None:
@@ -303,93 +316,69 @@ class DiskMap:
 
 
 class Derivatives:
-    """First-derivative fields of a DiskMap on the grid and its boundary.
+    """First-derivative fields of a DiskMap as real 2n-vector arrays: f_r,
+    f_theta, f_x, f_y, f_z = (f_x - J f_y)/2 and f_zbar = (f_x + J f_y)/2 on
+    the grid, and their boundary traces boundary_f_r, ... (boundary_f_zbar is
+    not (f_r + J f_theta)/2, which differs from it by the phase e^{-i theta}).
 
-    Stored: f_r and f_theta on the grid and the boundary traces
-    boundary_f_r, boundary_f_theta, boundary_f_x and boundary_f_y. A map
-    with an analytic evaluator also stores its exact f_x and f_y. Lazy,
-    computed on first read and cached: f_x and f_y of a sampled map (polar
-    chain rule), and f_z = (f_x - J f_y)/2 and f_zbar = (f_x + J f_y)/2,
-    stored as real 2n-vector fields.
+    Fields given at construction are stored, the others formed on first read
+    and cached: from the polar terms of a map with an analytic evaluator, and
+    for a sampled map from its spectral f_r and f_theta by the chain rule.
     """
 
-    def __init__(self, grid: DiskGrid, f_r, f_theta, boundary_f_r, boundary_f_theta,
-                 boundary_f_x, boundary_f_y, f_x=None, f_y=None):
-        self.grid = grid
-        self.f_r, self.f_theta = f_r, f_theta
-        self.boundary_f_r, self.boundary_f_theta = boundary_f_r, boundary_f_theta
-        self.boundary_f_x, self.boundary_f_y = boundary_f_x, boundary_f_y
-        self._polar = f_x is None
-        if not self._polar:
-            self._cartesian = (f_x, f_y)
+    FIELDS = ("f_r", "f_theta", "f_x", "f_y", "f_z", "f_zbar")
 
-    @cached_property
-    def _cartesian(self):
-        g = self.grid
-        return _kernels.polar_to_cartesian(self.f_r, self.f_theta, g.inv_r, g.cos_t, g.sin_t)
+    def __init__(self, grid: DiskGrid, analytic: Optional[PolynomialMap] = None, **fields):
+        self.grid, self._analytic = grid, analytic
+        vars(self).update(fields)
 
-    @property
-    def f_x(self) -> np.ndarray:
-        return self._cartesian[0]
-
-    @property
-    def f_y(self) -> np.ndarray:
-        return self._cartesian[1]
-
-    @cached_property
-    def f_z(self) -> np.ndarray:
-        return 0.5 * (self.f_x - apply_j(self.f_y))
-
-    @cached_property
-    def f_zbar(self) -> np.ndarray:
-        return 0.5 * (self.f_x + apply_j(self.f_y))
+    def __getattr__(self, name):
+        # reached only for a field not formed yet
+        field = name.removeprefix("boundary_")
+        if name.startswith("_") or field not in self.FIELDS:
+            raise AttributeError(name)
+        if self._analytic is not None:
+            value = self._analytic.sample(self.grid, field, boundary=field != name)
+        elif name in ("f_x", "f_y"):
+            g = self.grid
+            self.f_x, self.f_y = _kernels.polar_to_cartesian(self.f_r, self.f_theta,
+                                                             g.inv_r, g.cos_t, g.sin_t)
+            return getattr(self, name)
+        else:
+            x, y = (getattr(self, name.replace(field, xy)) for xy in ("f_x", "f_y"))
+            value = 0.5 * (x - apply_j(y)) if field == "f_z" else 0.5 * (x + apply_j(y))
+        setattr(self, name, value)
+        return value
 
     def frame_pair(self):
-        """The derivatives along an oriented orthonormal frame that the fields
-        already hold: (f_x, f_y) when stored, else (f_r, f_theta / r)."""
-        if self._polar:
-            return self.f_r, self.f_theta * self.grid.inv_r[:, None, None]
-        return self._cartesian
-
-    @property
-    def boundary_f_zbar(self) -> np.ndarray:
-        """Boundary trace of (f_x + J f_y)/2 (note: not (f_r + J f_theta)/2,
-        which differs from it by the unit phase e^{-i theta})."""
-        return 0.5 * (self.boundary_f_x + apply_j(self.boundary_f_y))
+        """The derivatives along an oriented orthonormal frame that the
+        fields already hold: (f_x, f_y) of an analytic map, else
+        (f_r, f_theta / r)."""
+        if self._analytic is not None:
+            return self.f_x, self.f_y
+        return self.f_r, self.f_theta * self.grid.inv_r[:, None, None]
 
 
 def derivatives(f: DiskMap) -> Derivatives:
-    """First derivatives of f; analytic closures take precedence."""
+    """First derivatives of f: exact from its analytic evaluator when it has
+    one, else spectral. Either way the boundary traces are formed at once,
+    and the chain rule at r = 1 takes (f_x, f_y) to (f_r, f_theta) or back."""
     grid = f.grid
     cos_t = grid.cos_t[:, None]
     sin_t = grid.sin_t[:, None]
-    if f.analytic is None:
-        fr = grid.radial_derivative(f.values)
-        ft = grid.theta_derivative(f.values)
-        b_fr = grid.boundary_radial_derivative(f.values, f.boundary)
-        b_ft = grid.theta_derivative(f.boundary, axis=0)
-        # chain rule at r = 1
-        b_fx = cos_t * b_fr - sin_t * b_ft
-        b_fy = sin_t * b_fr + cos_t * b_ft
-        return Derivatives(grid, fr, ft, b_fr, b_ft, b_fx, b_fy)
-    z = grid.r[:, None] * np.exp(1j * grid.theta)[None, :]
-    zb = np.exp(1j * grid.theta)
-    dz = f.analytic.d_z()
-    dzb = f.analytic.d_zbar()
-    fields = []
-    for pts in (z, zb):
-        wz = dz.evaluate(pts)
-        wzb = dzb.evaluate(pts)
-        fields.append(_complex_to_real_vectors(wz + wzb))          # df/dx
-        fields.append(_complex_to_real_vectors(1j * (wz - wzb)))   # df/dy
-    fx, fy, b_fx, b_fy = fields
-    c = grid.cos_t[None, :, None]
-    s = grid.sin_t[None, :, None]
-    fr = c * fx + s * fy
-    ft = grid.r[:, None, None] * (-s * fx + c * fy)
-    b_fr = cos_t * b_fx + sin_t * b_fy
-    b_ft = -sin_t * b_fx + cos_t * b_fy
-    return Derivatives(grid, fr, ft, b_fr, b_ft, b_fx, b_fy, f_x=fx, f_y=fy)
+    if f.analytic is not None:
+        b_fx = f.analytic.sample(grid, "f_x", boundary=True)
+        b_fy = f.analytic.sample(grid, "f_y", boundary=True)
+        return Derivatives(grid, f.analytic, boundary_f_x=b_fx, boundary_f_y=b_fy,
+                           boundary_f_r=cos_t * b_fx + sin_t * b_fy,
+                           boundary_f_theta=-sin_t * b_fx + cos_t * b_fy)
+    b_fr = grid.boundary_radial_derivative(f.values, f.boundary)
+    b_ft = grid.theta_derivative(f.boundary, axis=0)
+    return Derivatives(grid, f_r=grid.radial_derivative(f.values),
+                       f_theta=grid.theta_derivative(f.values),
+                       boundary_f_r=b_fr, boundary_f_theta=b_ft,
+                       boundary_f_x=cos_t * b_fr - sin_t * b_ft,
+                       boundary_f_y=sin_t * b_fr + cos_t * b_ft)
 
 
 @dataclass

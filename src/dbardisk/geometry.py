@@ -360,7 +360,7 @@ class PseudoconvexityReport:
             "classification": self.classification,
             "margin": self.margin,
             "k": self.k,
-            "levi_eigenvalues": [list(map(float, row)) for row in self.eigenvalues],
+            "levi_eigenvalues": self.eigenvalues.tolist(),
         }
 
 

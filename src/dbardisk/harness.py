@@ -159,19 +159,21 @@ class _NonFinite(Exception):
 
 
 def _json_value(obj) -> str:
-    import json as _json
-
-    if obj is None or isinstance(obj, bool):
-        return _json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if x - x != 0.0:  # an infinity or a NaN
             raise _NonFinite(x)
-        return format(x, ".17g")
-    if isinstance(obj, str):
+        return "%.17g" % x
+    if type(obj) is list and set(map(type, obj)) == {float}:
+        text = ", ".join(map("%.17g".__mod__, obj))
+        if "n" not in text:  # else an inf or a nan, which the loop below locates
+            return "[" + text + "]"
+    import json as _json
+
+    if obj is None or isinstance(obj, (bool, str)):
         return _json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     if isinstance(obj, (list, tuple)):
         parts = []
         try:

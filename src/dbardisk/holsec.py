@@ -458,11 +458,11 @@ class Certificate:
             "mode": self.mode,
             "k": self.k,
             "pivot": self.pivot,
-            "values": [float(v) for v in self.values],
+            "values": np.array(self.values, dtype=float).tolist(),
             "certified_bound": self.certified_bound,
             "domain_classification": self.domain_classification,
             "tolerances": self.tolerances,
-            "real_crosscheck": [[float(a), float(b)] for a, b in self.real_crosscheck],
+            "real_crosscheck": np.array(self.real_crosscheck, dtype=float).tolist(),
             "diagnostics": self.diagnostics,
         }
 

@@ -33,13 +33,14 @@ against lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .criticality import BoundaryState, boundary_state
-from .diskmap import DiskGrid, DiskMap, dbar_density
+from .diskmap import DiskGrid, DiskMap, dbar_density, polar_sum
 from .errors import (
     AdmissibilityError,
     ConstraintViolationError,
@@ -325,7 +326,7 @@ class GramSpectrum:
 
     def to_json_dict(self):
         return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "eigenvalues": self.eigenvalues.tolist(),
             "negative_count": self.negative_count,
             "tol_neg": self.tol_neg,
             "basis": self.basis,
@@ -333,8 +334,9 @@ class GramSpectrum:
         }
 
 
-def _separable_interior(grid: DiskGrid, basis) -> np.ndarray:
-    """int_D <grad V_a, grad V_b> dx dy for fields V_a = p_a(r) A_a(theta).
+def _separable_interior(grid: DiskGrid, basis):
+    """int_D <grad V_a, grad V_b> dx dy for fields V_a = p_a(r) A_a(theta),
+    and the theta-derivatives (m, n_theta, 2n) of their traces p_a(1) A_a.
 
     |grad V|^2 = |V_r|^2 + |V_theta|^2 / r^2, so the integral is
     w_theta (R1 o T1 + R2 o T2): radial Grams of p' (weight w_r r) and of p
@@ -343,15 +345,15 @@ def _separable_interior(grid: DiskGrid, basis) -> np.ndarray:
     m = len(basis)
     # one evaluation per distinct profile; the basis builders share them
     profiles = {id(V.profile): V.profile for V in basis}
-    on_r = {key: prof(grid.r) for key, prof in profiles.items()}
-    p = np.array([on_r[id(V.profile)] for V in basis])
+    on_r = {key: (prof(grid.r), prof(1.0)) for key, prof in profiles.items()}
+    p, rim = map(np.array, zip(*(on_r[id(V.profile)] for V in basis)))
     ang = np.array([V.angular for V in basis])
     dp = p @ grid._d_r.T
-    ang_t = grid.theta_derivative(ang, axis=1).reshape(m, -1)
-    ang = ang.reshape(m, -1)
+    ang_t = grid.theta_derivative(ang, axis=1)
+    a, a_t = ang.reshape(m, -1), ang_t.reshape(m, -1)
     r1 = (dp * (grid.w_r * grid.r)) @ dp.T
     r2 = (p * (grid.w_r * grid.inv_r)) @ p.T
-    return grid.w_theta * (r1 * (ang @ ang.T) + r2 * (ang_t @ ang_t.T))
+    return grid.w_theta * (r1 * (a @ a.T) + r2 * (a_t @ a_t.T)), rim[:, None, None] * ang_t
 
 
 def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationField],
@@ -361,8 +363,10 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     negative_count uses the relative threshold tol_neg_rel * max |eigenvalue|;
     it certifies a lower bound for the Morse index (a finite basis can never
     certify an upper bound). When every field is separable the interior
-    block comes from radial and angular factors; otherwise from the
-    polar-frame gradients of all fields.
+    block comes from radial and angular factors, and the circulation block
+    takes the traces' angular derivative from that of the factors;
+    otherwise from the polar-frame gradients of all fields and an FFT of
+    the traces.
     """
     basis = list(basis)
     if not basis:
@@ -372,12 +376,13 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     grid = f.grid
     vb = _tangent_traces(state, basis)
     if all(V.profile is not None for V in basis):
-        interior = _separable_interior(grid, basis)
+        interior, vb_t = _separable_interior(grid, basis)
     else:
         grads = np.empty((m, 2, grid.n_r, grid.n_theta, 2 * f.n))
         for i, V in enumerate(basis):
             grads[i, 0], grads[i, 1] = V.gradients()
         interior = _kernels.gram_interior(grads, grid.w_disk)
+        vb_t = grid.theta_derivative(vb, axis=1)
 
     # acceleration block: -sum_m w lam/|grad| (V_a . Hess . V_b), Hess V_a per node
     hv = state.hess @ vb.transpose(1, 2, 0)
@@ -386,7 +391,7 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
     acc = -hv.reshape(m, -1) @ vb.reshape(m, -1).T
 
     # circulation block, symmetrized
-    jt = apply_j(grid.theta_derivative(vb, axis=1))
+    jt = apply_j(vb_t)
     c1 = grid.w_theta * (jt.reshape(m, -1) @ vb.reshape(m, -1).T)
     circ = 0.5 * (c1 + c1.T)
 
@@ -539,16 +544,11 @@ class PolarPoly:
     def __call__(self, r, theta):
         """Sum over frequencies k of (sum_p c r^p) e^{i k theta}, real part;
         on a tensor grid (r a column, theta a row) one matrix product of the
-        radial sums (n_r, K) and the phases (K, n_theta)."""
+        radial sums and the phases (``diskmap.polar_sum``)."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         if r.ndim == theta.ndim == 2 and r.shape[1] == theta.shape[0] == 1:
-            radial = np.zeros((r.shape[0], len(self._by_freq)), dtype=complex)
-            for col, group in zip(radial.T, self._by_freq.values()):
-                col += sum(c * r[:, 0]**p for p, c in group)
-            ang = np.multiply.outer(list(self._by_freq), theta[0])
-            # Re (R e^{i k theta}) = Re R cos k theta - Im R sin k theta
-            return np.hstack([radial.real, radial.imag]) @ np.vstack([np.cos(ang), -np.sin(ang)])
+            return polar_sum([t + (0,) for t in self.terms], r[:, 0], theta[0], 1)[..., 0]
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
         for k, group in self._by_freq.items():
             radial = sum(c * r**p for p, c in group)
@@ -781,8 +781,16 @@ class LogCutoff:
         return float(np.max(np.abs(self.derivative(r)) * r * self.log_eps))
 
 
-def _gauss_panel(a: float, b: float, order: int = 48):
+@lru_cache(maxsize=4)
+def _leggauss(order: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_panel(a: float, b: float, order: int = 48):
+    x, w = _leggauss(order)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

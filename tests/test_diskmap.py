@@ -5,6 +5,7 @@ import pytest
 
 from dbardisk import _kernels
 from dbardisk.diskmap import (
+    MAP_CATALOG,
     DiskGrid,
     DiskMap,
     PolynomialMap,
@@ -163,6 +164,100 @@ def test_sampled_matches_analytic(grid, rng):
     for name in ("f_x", "f_y", "f_z", "f_zbar", "boundary_f_r", "boundary_f_x"):
         gap = np.max(np.abs(getattr(da, name) - getattr(ds, name)))
         assert gap < 1e-11, name
+
+
+# ---------------------------------------------------------------------------
+# the polar evaluator against complex powers
+
+
+def _complex_power_fields(pm, grid):
+    """Values, first derivatives and Laplacian of a PolynomialMap from complex
+    powers z**p * zbar**q, one complex array per coordinate: an evaluation
+    that shares nothing with the polar terms. Real 2n-vector fields keyed
+    by name; the rim traces are keyed "boundary_<name>"."""
+    out = {}
+    for prefix, z in (("", grid.r[:, None] * np.exp(1j * grid.theta)[None, :]),
+                      ("boundary_", np.exp(1j * grid.theta))):
+        zb = np.conj(z)
+
+        def poly(derive):
+            w = np.zeros(z.shape + (pm.n,), dtype=complex)
+            for j, coord in enumerate(pm.coords):
+                for p, q, c in coord:
+                    pp, qq, cc = derive(p, q, c)
+                    if cc:
+                        w[..., j] += cc * z**pp * zb**qq
+            return w
+
+        w = poly(lambda p, q, c: (p, q, c))
+        dz = poly(lambda p, q, c: (p - 1, q, p * c))
+        dzb = poly(lambda p, q, c: (p, q - 1, q * c))
+        phase = (z / np.abs(z))[..., None]   # e^{i theta}
+        fields = {
+            "values": w,
+            "f_r": phase * dz + np.conj(phase) * dzb,
+            "f_theta": 1j * (z[..., None] * dz - zb[..., None] * dzb),
+            "f_x": dz + dzb,
+            "f_y": 1j * (dz - dzb),
+            "f_z": dz,
+            "f_zbar": dzb,
+            "laplacian": poly(lambda p, q, c: (p - 1, q - 1, 4 * p * q * c)),
+        }
+        for name, v in fields.items():
+            out[prefix + name] = np.concatenate([v.real, v.imag], axis=-1)
+    return out
+
+
+def _oracle_maps():
+    rng = np.random.default_rng(7)
+    maps = {name: PolynomialMap(*MAP_CATALOG[name]) for name in MAP_CATALOG}
+    for n in (2, 3, 4):
+        for slot in range(n):
+            coords = [[] for _ in range(n)]
+            coords[slot] = [(0, 1, complex(np.cos(0.3 + slot), np.sin(0.3 + slot)))]
+            maps[f"conj-c{n}-{slot}"] = PolynomialMap(n, coords)
+    maps["random-3-term"] = PolynomialMap(3, [
+        [(int(rng.integers(4)), int(rng.integers(4)), complex(*rng.normal(size=2)))
+         for _ in range(3)] for _ in range(3)])
+    maps["empty-coordinate"] = PolynomialMap(3, [[(2, 1, 0.5 - 1j), (1, 0, 2.0)], [],
+                                                 [(0, 3, 1j)]])
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_maps()))
+def test_polar_evaluator_matches_complex_powers(grid, name):
+    pm = _oracle_maps()[name]
+    want = _complex_power_fields(pm, grid)
+    f = DiskMap.from_polynomial(pm, grid)
+    d = f.derivatives()
+    got = {"values": f.values, "boundary_values": f.boundary,
+           "laplacian": pm.sample(grid, "laplacian"),
+           "boundary_laplacian": pm.sample(grid, "laplacian", boundary=True)}
+    for field in ("f_r", "f_theta", "f_x", "f_y", "f_z", "f_zbar"):
+        got[field] = getattr(d, field)
+        got["boundary_" + field] = getattr(d, "boundary_" + field)
+    for key, value in got.items():
+        assert value.shape == want[key].shape and np.isrealobj(value), key
+        scale = max(np.max(np.abs(want[key])), 1e-300)
+        assert np.max(np.abs(value - want[key])) <= 1e-14 * scale, key
+    if name == "empty-coordinate":
+        for key, value in got.items():
+            assert np.all(value[..., [1, 4]] == 0.0), key
+
+
+def test_polynomial_fields_are_formed_on_first_read(grid):
+    # an action forms only the grid fields it reads; the rim traces come at once
+    f = make_map("f3", grid)
+    d = f.derivatives()
+    formed = set(vars(d))
+    assert {"boundary_f_r", "boundary_f_theta", "boundary_f_x", "boundary_f_y"} <= formed
+    assert not formed & {"f_r", "f_theta", "f_x", "f_y", "f_z", "f_zbar"}
+    energies(f)
+    assert {"f_x", "f_y"} <= set(vars(d)) and "f_zbar" not in vars(d)
+    fx = d.f_x
+    assert d.f_x is fx
+    with pytest.raises(AttributeError):
+        d.f_w
 
 
 # ---------------------------------------------------------------------------

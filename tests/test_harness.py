@@ -161,6 +161,56 @@ def test_json_path_of_a_non_finite_value_nested_in_lists_and_dicts():
         to_json_text(float("nan"))
 
 
+def _per_element_json(obj):
+    """Serialization one element at a time: the definition that the fast
+    paths for floats and lists of floats must reproduce byte for byte."""
+    if obj is None or isinstance(obj, bool) or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, np.ndarray):
+        return _per_element_json(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_per_element_json(v)}"
+                               for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))) + "}"
+    return "[" + ", ".join(map(_per_element_json, obj)) + "]"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17, 1e-5, 123456789.0, -2.5]
+
+
+def test_json_fast_paths_match_per_element_serialization():
+    rng = np.random.default_rng(3)
+    bits = rng.integers(-2**63, 2**63 - 1, size=4000, dtype=np.int64).view(float)
+    random_floats = bits[np.isfinite(bits)].tolist()
+    docs = [
+        EDGE_FLOATS,
+        random_floats,
+        [1, 2, -3, True, False, 0.5, -0.0],
+        [np.float64(-0.0), 0.5, np.float64(1e308), np.int64(7), np.float32(0.1)],
+        (1.0, -0.0, 5e-324),
+        {"a": EDGE_FLOATS, "b": [[0.25, -0.0], [1e308, 5e-324]], "c": np.array(EDGE_FLOATS),
+         "d": [], "e": [[]], "f": {"g": [None, "x", 1.5]}, 3: -0.0},
+        -0.0, 5e-324, 1e308, np.float64(-0.0), 7, True, None, "s",
+    ]
+    for doc in docs:
+        assert to_json_text(doc) == _per_element_json(doc) + "\n"
+
+
+@pytest.mark.parametrize("doc, path, value", [
+    ({"x": {"y": [1.0, 2.0, float("nan")]}}, r"\$\.x\.y\[2\]", "nan"),
+    ([float("inf"), 1.0], r"\$\[0\]", "inf"),
+    ({"a": [[0.5, -0.0], [1.0, -float("inf")]]}, r"\$\.a\[1\]\[1\]", "-inf"),
+])
+def test_json_path_of_a_non_finite_value_in_a_list_of_floats(doc, path, value):
+    with pytest.raises(NonFiniteValueError,
+                       match=f"^report value {path} is {value}, not a finite number$"):
+        to_json_text(doc)
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path):
     cfg = dict(action="index", domain="ball4", map="f3", basis_size=12,
                seed=3, deterministic=True)

@@ -512,6 +512,19 @@ def test_polar_poly_grouped_by_frequency_matches_term_sum(grid, rng):
 # logarithmic cutoff
 
 
+@pytest.mark.parametrize("order", [24, 48, 64])
+def test_gauss_panel_nodes_match_leggauss(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    for a, b in ((0.0, 1e-4), (2.0 * np.log(1e-3), np.log(1e-3))):
+        nodes, weights = sv._gauss_panel(a, b, order=order)
+        assert np.array_equal(nodes, 0.5 * (b - a) * x + 0.5 * (a + b))
+        assert np.array_equal(weights, 0.5 * (b - a) * w)
+    cached = sv._leggauss(order)
+    assert cached is sv._leggauss(order)
+    assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
+    assert not cached[0].flags.writeable and not cached[1].flags.writeable
+
+
 def test_log_cutoff_profile_values():
     cut = sv.LogCutoff(1e-2)
     assert cut(1.0) == 1.0
