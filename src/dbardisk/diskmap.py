@@ -55,7 +55,9 @@ DBAR_RAW_FACTOR = 4.0
 def _differentiation_matrix(x):
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)  # barycentric weights
+    # barycentric weights; scaling the differences by 4 = 1 / capacity of [0, 1]
+    # keeps their products in range past 512 nodes and cancels exactly
+    w = 1.0 / np.prod(4.0 * diff, axis=1)
     w = w / np.max(np.abs(w))
     d = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(d, 0.0)
@@ -270,33 +272,43 @@ MAP_CATALOG = {
 }
 
 
+def _finite(samples: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("map values contain non-finite entries")
+    return samples
+
+
 class DiskMap:
     """A map f: D -> R^{2n} sampled on a DiskGrid.
 
     values has shape (n_r, n_theta, 2n); boundary is the trace f(1, theta_m)
     of shape (n_theta, 2n). analytic, when present, is a PolynomialMap whose
-    exact derivatives take precedence over spectral differentiation.
+    exact derivatives take precedence over spectral differentiation; values
+    None leaves the interior samples to it, formed and checked on first read.
     """
 
-    def __init__(self, grid: DiskGrid, n: int, values: np.ndarray, boundary: np.ndarray,
+    def __init__(self, grid: DiskGrid, n: int, values: Optional[np.ndarray], boundary: np.ndarray,
                  analytic: Optional[PolynomialMap] = None, name: str = "sampled"):
         self.grid = grid
         self.n = n
-        self.values = np.asarray(values, dtype=float)
-        self.boundary = np.asarray(boundary, dtype=float)
+        self.boundary = _finite(np.asarray(boundary, dtype=float))
         self.analytic = analytic
         self.name = name
-        if self.values.shape != (grid.n_r, grid.n_theta, 2 * n):
-            raise ValueError(f"values shape {self.values.shape} does not match grid/n")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("map values contain non-finite entries")
+        self._values = None if values is None else _finite(np.asarray(values, dtype=float))
+        if values is not None and self._values.shape != (grid.n_r, grid.n_theta, 2 * n):
+            raise ValueError(f"values shape {self._values.shape} does not match grid/n")
         self._derivs = None
         self._boundary_state = None  # (df, state), cached by criticality.boundary_state
 
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _finite(self.analytic.sample(self.grid))
+        return self._values
+
     @classmethod
     def from_polynomial(cls, pm: PolynomialMap, grid: DiskGrid, name: str = "poly") -> "DiskMap":
-        return cls(grid, pm.n, pm.sample(grid), pm.sample(grid, boundary=True),
-                   analytic=pm, name=name)
+        return cls(grid, pm.n, None, pm.sample(grid, boundary=True), analytic=pm, name=name)
 
     def derivatives(self) -> "Derivatives":
         if self._derivs is None:

@@ -93,9 +93,10 @@ class VariationField:
     and boundary are read-only, so the field always equals its factors. The
     cutoff machinery evaluates such a field on radii off the grid and Gram
     assembly factors its interior block. A field built from samples has no
-    factors (profile and angular are None). Fields that their builders know
-    in closed form (separable ones, the sections of ``holsec.build_U`` and
-    the real and imaginary parts) form values on first read, read-only.
+    factors (profile and angular are None) and holds its values. Fields that
+    their builders know in closed form (separable ones, the sections of
+    ``holsec.build_U`` and their real and imaginary parts) compute values on
+    each read, as a fresh read-only array, and never store them.
     """
 
     profile = None
@@ -114,7 +115,7 @@ class VariationField:
 
     @classmethod
     def _lazy(cls, grid, n, build, boundary, label, interior=None):
-        """A field whose values build() forms on first read."""
+        """A field whose values build() forms on each read."""
         V = cls.__new__(cls)
         V.grid, V.n, V._values, V._build = grid, n, None, build
         V.boundary, V.label, V._interior = boundary, label, interior
@@ -137,15 +138,14 @@ class VariationField:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = _frozen(self._build())
-        return self._values
+        return self._values if self._values is not None else _frozen(self._build())
 
     def gradients(self):
         """(V_r, V_theta / r): the gradient in the orthonormal polar frame,
         so <grad V, grad W> = <V_r, W_r> + <V_theta, W_theta> / r^2."""
-        fr = self.grid.radial_derivative(self.values)
-        ft = self.grid.theta_derivative(self.values)
+        values = self.values
+        fr = self.grid.radial_derivative(values)
+        ft = self.grid.theta_derivative(values)
         return fr, ft * self.grid.inv_r[:, None, None]
 
     def _part(self, take, slot, label):
@@ -511,12 +511,14 @@ def hypersurface_family(f: DiskMap, V: VariationField,
     """
     grid = f.grid
     blend = (grid.r**4)[:, None, None]
+    # read once per family: a field built from factors forms values per read
+    f_values, v_values, v_boundary = f.values, V.values.real, V.boundary.real
 
     def family(t: float) -> DiskMap:
-        straight_b = f.boundary + t * V.boundary.real
+        straight_b = f.boundary + t * v_boundary
         projected = _project_to_hypersurface(df, straight_b)
         correction = projected - straight_b
-        values = f.values + t * V.values.real + blend * correction[None, :, :]
+        values = f_values + t * v_values + blend * correction[None, :, :]
         return DiskMap(grid, f.n, values, projected, analytic=None,
                        name=f"{f.name}+t*{V.label}")
 

@@ -103,6 +103,17 @@ def test_differentiation_matrix_matches_loop_definition(n_r):
     assert np.array_equal(grid._d1_row, d_aug[-1])
 
 
+@pytest.mark.parametrize("n_r", [768, 1024])
+def test_differentiation_matrix_is_finite_past_512_nodes(n_r):
+    # unscaled, the barycentric weights (products of n_r - 1 node differences
+    # in [0, 1]) underflow past 512 nodes, and so does the loop definition
+    grid = DiskGrid(n_r, 8)
+    assert np.all(np.isfinite(grid._d_r)) and np.all(np.isfinite(grid._d1_row))
+    r = grid.r
+    assert np.max(np.abs(grid._d_r @ r**3 - 3.0 * r**2)) < 1e-8
+    assert abs(grid._d1_row[:-1] @ r**3 + grid._d1_row[-1] - 3.0) < 1e-8
+
+
 def test_grids_of_one_n_r_share_a_read_only_radial_rule():
     a, b = DiskGrid(24, 32), DiskGrid(24, 64)
     x, w = np.polynomial.legendre.leggauss(24)
@@ -466,3 +477,34 @@ def test_values_must_be_finite(grid):
     vals[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         DiskMap(grid, 2, vals, np.zeros((grid.n_theta, 4)))
+    with pytest.raises(ValueError):
+        DiskMap(grid, 2, np.zeros_like(vals), np.full((grid.n_theta, 4), np.nan))
+
+
+def test_polynomial_map_interior_is_formed_on_first_read(grid, ball):
+    # no action reads the interior samples of a polynomial map: derivatives,
+    # Laplacian and rim trace come from its polar terms
+    from dbardisk.criticality import is_critical
+    from dbardisk.holsec import certify_index
+    from dbardisk.secondvar import admissible_basis
+
+    f = make_map("f3", grid)
+    certify_index(f, ball)
+    is_critical(f, ball)
+    energies(f)
+    admissible_basis(f, ball, 20)
+    assert f._values is None
+    rot = f.rotated(5)
+    assert f.values is f.values
+    assert np.array_equal(rot.values, np.roll(f.analytic.sample(grid), -5, axis=1))
+    assert np.array_equal(rot.boundary, np.roll(f.boundary, -5, axis=0))
+
+
+def test_polynomial_map_interior_is_checked_when_formed(grid):
+    # c - c |z|^2 + c is c on the rim but c (2 - r^2) > 1.8e308 inside
+    c = 1.5e308
+    pm = PolynomialMap(2, [[(0, 0, c), (1, 1, -c), (0, 0, c)], []])
+    f = DiskMap.from_polynomial(pm, grid)
+    assert np.all(f.boundary[:, 0] == c)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        f.values

@@ -396,6 +396,17 @@ def test_cli_index_refuses_off_surface_map(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+def test_cli_index_past_512_radial_nodes(tmp_path, capsys):
+    # the barycentric weights of 768 radial nodes stay in range
+    out_dir = tmp_path / "run"
+    code = main(["index", "--map", "f3", "--domain", "ball4", "--grid", "768,16",
+                 "--basis-size", "8", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    gram = np.loadtxt(out_dir / "gram.csv", delimiter=",", skiprows=1)
+    assert gram.shape == (8, 8) and np.all(np.isfinite(gram))
+
+
 F3_TERM = {"zp": 0, "zq": 1, "re": 1.0}
 MALFORMED_CONFIGS = {
     "tolerance-string": {"action": "certify", "map": "f3", "domain": "ball4",

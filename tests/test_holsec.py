@@ -585,7 +585,7 @@ ZBAR2_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ZBAR2_CASES))
 def test_sections_match_their_dense_copies(case):
-    # a section forms its values on first read and takes the interior terms
+    # a section forms its values on each read and takes the interior terms
     # of its index forms from the coefficients c_k; a dense copy of the same
     # samples takes them from VariationField.gradients()
     a, shape, steps = ZBAR2_CASES[case]

@@ -464,6 +464,53 @@ def test_separable_fields_are_read_only(grid):
     assert np.all(W.values == 1.0)
 
 
+def test_factor_field_values_are_fresh_read_only_arrays(grid, maps, ball):
+    from dbardisk.holsec import build_U
+
+    U = build_U(maps["f3"]).sections[0]
+    fields = sv.admissible_basis(maps["f3"], ball, 104)[::13]
+    fields += [_const_field(grid, [0.0, 1.0, 0.0, 0.0]), U, U.real_part, U.imag_part]
+    for V in fields:
+        a, b = V.values, V.values
+        assert a is not b and np.array_equal(a, b), V.label
+        assert not (a.flags.writeable or b.flags.writeable), V.label
+        assert V._values is None, V.label
+    assert np.array_equal(U.real_part.values, U.values.real)
+    assert np.array_equal(U.imag_part.values, U.values.imag)
+
+
+def test_reading_factor_fields_holds_no_memory(ball):
+    # a field built from factors forms its values on each read and keeps
+    # none: once read, 104 fields at 64x128 with n = 2 would hold 26 MiB
+    import tracemalloc
+
+    from dbardisk.holsec import build_U
+
+    f = make_map("f3", DiskGrid(64, 128))
+    U = build_U(f).sections[0]
+    fields = sv.admissible_basis(f, ball, 104) + [U, U.real_part, U.imag_part]
+    tracemalloc.start()
+    try:
+        for V in fields:
+            assert V.values.shape == (64, 128, 4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held / 2**20
+
+
+def test_factor_field_values_built_once_per_family_and_per_gradient(maps, ball):
+    f = maps["f3"]
+    V = sv.admissible_basis(f, ball, 12)[-1]
+    build, builds = V._build, []
+    V._build = lambda: builds.append(1) or build()
+    V.gradients()
+    assert len(builds) == 1
+    # five family members: t = 0, +-h and +-h/2
+    sv.fd_second_variation(sv.hypersurface_family(f, V, ball), df=ball)
+    assert len(builds) == 2
+
+
 def test_gram_sampled_field_takes_generic_path(grid, maps, weak, monkeypatch):
     basis = sv.admissible_basis(maps["f4"], weak, 20)
     mixed = list(basis)
