@@ -167,6 +167,13 @@ class DiskGrid:
         r = self.r[:, None, None]
         return frr + fr / r + ftt / r**2
 
+    def dirichlet_energy(self, trace: np.ndarray) -> np.ndarray:
+        """int_D |grad u|^2 per column of the harmonic extension u of rim samples
+        (n_theta, ...): 2 pi sum_m |m| |u_m|^2 over the Fourier coefficients
+        u_m, since r^|m| e^{i m theta} has energy 2 pi |m|."""
+        spec = np.fft.fft(trace, axis=0) / self.n_theta
+        return 2.0 * np.pi * (np.abs(self._ik) @ (spec.real**2 + spec.imag**2))
+
 
 # ---------------------------------------------------------------------------
 # polynomial maps in z and zbar, evaluated in polar form
@@ -297,7 +304,7 @@ class DiskMap:
         self._values = None if values is None else _finite(np.asarray(values, dtype=float))
         if values is not None and self._values.shape != (grid.n_r, grid.n_theta, 2 * n):
             raise ValueError(f"values shape {self._values.shape} does not match grid/n")
-        self._derivs = None
+        self._derivs = self._laplacian = None
         self._boundary_state = None  # (df, state), cached by criticality.boundary_state
 
     @property
@@ -314,6 +321,15 @@ class DiskMap:
         if self._derivs is None:
             self._derivs = derivatives(self)
         return self._derivs
+
+    def laplacian(self) -> np.ndarray:
+        """Componentwise Laplacian on the grid, read-only and cached: exact from
+        the analytic evaluator, else ``DiskGrid.laplacian`` of the samples."""
+        if self._laplacian is None:
+            self._laplacian = (self.grid.laplacian(self.values) if self.analytic is None
+                               else self.analytic.sample(self.grid, "laplacian"))
+            self._laplacian.flags.writeable = False
+        return self._laplacian
 
     def rotated(self, steps: int) -> "DiskMap":
         """Precompose with the rotation by steps grid angles (exact resample)."""
@@ -420,11 +436,6 @@ def energies(f: DiskMap) -> EnergyReport:
         e_dbar=grid.integrate_disk(e_dbar),
         kahler=grid.integrate_disk(kahler),
     )
-
-
-def dbar_density(f: DiskMap) -> np.ndarray:
-    """Pointwise dbar-energy density |f_x + J f_y|^2 / 4 on the grid."""
-    return _kernels.dbar_density(*f.derivatives().frame_pair())
 
 
 def homotopy_invariance_check(f: DiskMap, eta: DiskMap, steps: int = 8) -> float:

@@ -30,14 +30,15 @@ block is the last one solved. The rank is cut against the largest singular
 value of all blocks.
 The constant (1,0) vectors V_j = e_{x_j} - i e_{y_j}
 need no frame object: pairing them against f_zbar gives holomorphic
-coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked with
-d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 in polar coordinates,
-and the combinations
+coefficient functions c_j = <<V_j, f_zbar>> (f harmonic), checked through
+dbar c_j = conj(Laplacian w_j) / 4 for w_j = x_j + i y_j, and the combinations
 
     U_j = c_k V_j - c_j V_k     (j != k)
 
-are admissible holomorphic (1,0) sections orthogonal to f_zbar. Their
-index-form values reduce to boundary integrals of -lambda times the Levi
+are admissible holomorphic (1,0) sections orthogonal to f_zbar. The
+interior terms of their index forms are the Dirichlet energies of the rim
+traces of the c_j and integrals of the Laplacian of f. Their index-form
+values reduce to boundary integrals of -lambda times the Levi
 form, which are negative on strictly pseudoconvex domains: each certifies
 a negative direction, giving the Morse-index lower bound n - 1 (and n - k
 under strict k-pseudoconvexity via subset sums).
@@ -52,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .criticality import INNER_RADIUS, INTERIOR_RADIUS, boundary_state, is_critical
-from .diskmap import DiskMap, dbar_density
+from .diskmap import DiskMap
 from .errors import (
     DegeneratePivotError,
     Refusal,
@@ -372,56 +373,54 @@ def build_U(f: DiskMap, tol_holo: float = 1e-8) -> USections:
     """The sections U_j = c_p V_j - c_j V_p (j != p) orthogonal to f_zbar.
 
     V_j = e_{x_j} - i e_{y_j} are the constant (1,0) vectors and
-    c_j = <<V_j, f_zbar>> the pairing coefficients; the pivot p is the
-    coefficient with the largest sup. Refuses when the map is holomorphic
-    (sup dbar-energy density below tol_holo): the instability certificate
-    would be vacuous.
+    c_j = <<V_j, f_zbar>> the pairing coefficients. f is assumed harmonic
+    (``certify_index`` checks it first), so the c_j are holomorphic and
+    |f_zbar|^2 = sum |c_j|^2 and each |c_j| peak on the rim. There the map
+    is refused as holomorphic (sup |f_zbar|^2 at most tol_holo: the
+    instability certificate would be vacuous) and the pivot p, the
+    coefficient with the largest sup, is chosen. Nothing is differentiated.
     """
-    grid = f.grid
-    n = f.n
-    density = dbar_density(f)
-    if float(np.max(density)) <= tol_holo:
+    grid, n = f.grid, f.n
+    d = f.derivatives()
+    g_b = d.boundary_f_zbar
+    if float(np.max(np.sum(g_b**2, axis=-1))) <= tol_holo:
         raise VacuousCertificateError(
             f"map {f.name!r} is holomorphic within {tol_holo:.1e}: "
             "no instability certificate applies"
         )
-    d = f.derivatives()
-    g = d.f_zbar
-    g_b = d.boundary_f_zbar
     # c_j = <<V_j, f_zbar>> = G_{x_j} - i G_{y_j}
-    coeff = g[..., :n] - 1j * g[..., n:]
-    coeff_b = g_b[..., :n] - 1j * g_b[..., n:]
-    sups = np.max(np.abs(coeff.reshape(-1, n)), axis=0)
+    coeff_b = g_b[:, :n] - 1j * g_b[:, n:]
+    sups = np.max(np.abs(coeff_b), axis=0)
     pivot = int(np.argmax(sups))
     if sups[pivot] < 1e-14:
         raise DegeneratePivotError("all pairing coefficients vanish identically")
-    # each coefficient must be holomorphic (f harmonic). dbar c_j is
-    # conj(Laplacian f_j) / 4, so the sup is taken on the annulus that
-    # harmonic_residual uses, away from the noise at the centre and the rim.
-    # d/dzbar = e^{i theta} (d_r + (i / r) d_theta) / 2 and |e^{i theta}| = 1
-    cr = grid.radial_derivative(coeff)
-    ct = grid.theta_derivative(coeff) * grid.inv_r[:, None, None]
-    dbar_c = cr + 1j * ct
+    # each coefficient must be holomorphic (f harmonic). With w_j = x_j + i y_j,
+    # c_j = conj(dw_j/dzbar) and |dbar c_j| = |Laplacian w_j| / 4, from the
+    # map's cached Laplacian; the sup is taken on the annulus that
+    # harmonic_residual uses, away from the noise at the centre and the rim
+    lap2 = f.laplacian() ** 2
+    lap2 = lap2[..., :n] + lap2[..., n:]
     annulus = (grid.r >= INNER_RADIUS) & (grid.r <= INTERIOR_RADIUS)
-    dbar_sup = 0.5 * float(np.max(np.abs(dbar_c[annulus])))
-    # per coefficient: G_k = int |grad c_k|^2 and D_k = int |c_r + i c_theta / r|^2
-    w = grid.w_disk.ravel()
-    grad2 = w @ (cr.real**2 + cr.imag**2 + ct.real**2 + ct.imag**2).reshape(-1, n)
-    dbar2 = w @ (dbar_c.real**2 + dbar_c.imag**2).reshape(-1, n)
+    dbar_sup = 0.25 * float(np.sqrt(np.max(lap2[annulus])))
+    # per coefficient: D_k = int |2 dbar c_k|^2 = int |Laplacian w_k|^2 / 4, and
+    # G_k = int |grad c_k|^2 the Dirichlet energy of the rim trace of c_k
+    dbar2 = 0.25 * (grid.w_disk.ravel() @ lap2.reshape(-1, n))
+    grad2 = grid.dirichlet_energy(coeff_b)
 
-    def section(c, j):
-        """U_j = c_p V_j - c_j V_p for coefficients c (..., n): (..., 2n)."""
+    def section(g, j):
+        """U_j = c_p V_j - c_j V_p from f_zbar samples g (..., 2n): (..., 2n)."""
+        c = g[..., :n] - 1j * g[..., n:]
         u = np.zeros(c.shape[:-1] + (2 * n,), dtype=complex)
         u[..., j], u[..., n + j] = c[..., pivot], -1j * c[..., pivot]
         u[..., pivot], u[..., n + pivot] = -c[..., j], 1j * c[..., j]
         return u
 
     # U_j is (c_p, -i c_p, -c_j, i c_j) on (x_j, y_j, x_p, y_p): Re U_j and
-    # Im U_j each carry |grad c_p|^2 + |grad c_j|^2, and the interior term
-    # 1/2 |U_r + i U_theta / r|^2 of the complex form is |dbar_p|^2 + |dbar_j|^2
+    # Im U_j each carry G_p + G_j, and the complex form's interior term
+    # 1/2 int |U_r + i U_theta / r|^2 = 2 int |dU/dzbar|^2 is D_p + D_j
     others = [j for j in range(n) if j != pivot]
     sections = [
-        VariationField._lazy(grid, n, lambda j=j: section(coeff, j), section(coeff_b, j),
+        VariationField._lazy(grid, n, lambda j=j: section(d.f_zbar, j), section(g_b, j),
                              f"U{j}", (dbar2[pivot] + dbar2[j], grad2[pivot] + grad2[j],
                                        grad2[pivot] + grad2[j]))
         for j in others]

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .criticality import BoundaryState, boundary_state
-from .diskmap import DiskGrid, DiskMap, dbar_density, polar_sum
+from .diskmap import DiskGrid, DiskMap, polar_sum
 from .errors import (
     AdmissibilityError,
     ConstraintViolationError,
@@ -458,7 +458,7 @@ def fd_second_variation(family: Callable[[float], DiskMap],
             )
 
     def e_dbar(g: DiskMap) -> float:
-        return g.grid.integrate_disk(dbar_density(g))
+        return g.grid.integrate_disk(_kernels.dbar_density(*g.derivatives().frame_pair()))
 
     e0 = e_dbar(family(0.0))
 
@@ -915,8 +915,11 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int):
     Boundary-tangent fields are the coordinate directions projected along
     the unit normal at each boundary node, modulated by trig(k theta) and
     extended inward with the profile r^{k+2}; they are followed by interior
-    bumps once the frame modes are exhausted. Reproducible from size.
+    bumps once the frame modes are exhausted: 52 n fields at most, reproducible
+    from size.
     """
+    if size > (available := 4 * (2 * KMAX + 1) * f.n):
+        raise ValueError(f"basis size {size} exceeds the {available} fields available at n = {f.n}")
     state = boundary_state(f, df)
     grid = f.grid
     dim = 2 * f.n

@@ -8,14 +8,9 @@ import os
 import tempfile
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from dbardisk.cli import main
-
-# random configs may overflow on the way to a clean exit 1; the contract
-# here is the exit code and the output, not the absence of NumPy warnings
-pytestmark = pytest.mark.filterwarnings("default::RuntimeWarning")
 
 CLI_ACTIONS = ("energy", "critical", "index", "certify", "levi", "f4-family", "cutoff")
 

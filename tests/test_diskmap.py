@@ -136,6 +136,31 @@ def test_boundary_radial_derivative(grid):
     assert np.max(np.abs(got - poly.deriv()(1.0))) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(32, 64), (48, 256)])
+def test_dirichlet_energy_of_holomorphic_polynomials(shape, rng):
+    # sum a_k z^k, k <= 5, has int |grad|^2 = 2 pi sum k |a_k|^2; one per column
+    grid = DiskGrid(*shape)
+    a = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    k = np.arange(6)
+    got = grid.dirichlet_energy(np.exp(1j * np.outer(grid.theta, k)) @ a)
+    want = 2.0 * np.pi * (k @ np.abs(a) ** 2)
+    assert got.shape == (3,)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_map_laplacian_is_cached_and_read_only(grid):
+    # exact from the polar terms, spectral for a sampled (rotated) copy
+    f = make_map({"n": 2, "coords": [[{"zp": 2, "zq": 1, "re": 0.5}],
+                                     [{"zp": 0, "zq": 3, "im": 1.0}]]}, grid)
+    g = f.rotated(5)
+    assert np.array_equal(f.laplacian(), f.analytic.sample(grid, "laplacian"))
+    assert np.array_equal(g.laplacian(), grid.laplacian(g.values))
+    exact = f.analytic.rotate(5 * grid.w_theta).sample(grid, "laplacian")
+    assert np.max(np.abs(g.laplacian() - exact)) < 1e-9
+    for m in (f, g):
+        assert m.laplacian() is m.laplacian() and not m.laplacian().flags.writeable
+
+
 def test_resolution_errors():
     with pytest.raises(ResolutionError):
         DiskGrid(3, 64)

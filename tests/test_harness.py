@@ -367,19 +367,33 @@ def _strict_json(text):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_cli_overflowing_map_is_an_error(tmp_path, capsys, out):
+    # one error line on stderr, and no NumPy warning before it
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"map": {"n": 2, "coords": [
         [{"zp": 1, "zq": 0, "re": 1e200}], [{"zp": 0, "zq": 1, "re": 1.0}]]}}))
     argv = ["energy", "--config", str(cfg_path)]
     if out:
         argv += ["--out", str(tmp_path / "run")]
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert captured.out == "" or _strict_json(captured.out)
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_cli_overflowing_rim_trace_is_one_error_line(tmp_path, capsys):
+    # 1.5e308 - 1.5e308 |z|^2 + 1.5e308 zbar overflows on the rim already
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": [8, 16], "map": {"n": 2, "coords": [
+        [{"zp": 0, "zq": 0, "re": 1.5e308}, {"zp": 1, "zq": 1, "re": -1.5e308},
+         {"zp": 0, "zq": 1, "re": 1.5e308}], []]}}))
+    code = main(["energy", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
 
 
 def test_cli_index_refuses_off_surface_map(tmp_path, capsys):
@@ -446,6 +460,8 @@ MALFORMED_CONFIGS = {
     "deterministic-string": {"action": "energy", "map": "f1", "deterministic": "no"},
     "map-and-domain-dimensions": {"action": "certify", "domain": "ball4",
                                   "map": {"n": 1, "coords": [[F3_TERM]]}},
+    "basis-size-past-52n": {"action": "index", "map": "f3", "domain": "ball4",
+                            "grid": [16, 32], "basis_size": 150},
 }
 
 

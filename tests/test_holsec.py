@@ -7,7 +7,7 @@ import pytest
 
 from dbardisk import holsec
 from dbardisk import secondvar as sv
-from dbardisk.diskmap import DiskGrid, DiskMap, make_map
+from dbardisk.diskmap import DiskGrid, DiskMap, PolynomialMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
 from dbardisk.geometry import apply_j, hermitian, make_domain
 from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
@@ -617,10 +617,105 @@ def test_sections_match_their_dense_copies(case):
             assert abs(value - reference) <= 2e-14 * abs(reference)
 
 
+def _zbar2(case):
+    """The map of ZBAR2_CASES[case] (rotated: a sampled copy) and its ball."""
+    a, shape, steps = ZBAR2_CASES[case]
+    spec = {"n": len(a), "name": "zbar2", "coords": [
+        [{"zp": 0, "zq": 2, "re": c.real, "im": c.imag}] if c else [] for c in map(complex, a)]}
+    f = make_map(spec, DiskGrid(*shape))
+    return (f.rotated(steps) if steps else f), make_domain(ball_spec(len(a)))
+
+
+def _gradient_quadrature(f):
+    """int |grad c_k|^2 of each pairing coefficient c_k by quadrature of its
+    spectral gradient over the grid: the oracle of the rim Dirichlet energy."""
+    grid, n = f.grid, f.n
+    g = f.derivatives().f_zbar
+    coeff = g[..., :n] - 1j * g[..., n:]
+    cr = grid.radial_derivative(coeff)
+    ct = grid.theta_derivative(coeff) * grid.inv_r[:, None, None]
+    return grid.w_disk.ravel() @ (np.abs(cr) ** 2 + np.abs(ct) ** 2).reshape(-1, n)
+
+
+@pytest.mark.parametrize("case", sorted(ZBAR2_CASES))
+def test_rim_dirichlet_energy_matches_the_gradient_quadrature(case):
+    f, _ = _zbar2(case)
+    n, g_b = f.n, f.derivatives().boundary_f_zbar
+    got = f.grid.dirichlet_energy(g_b[:, :n] - 1j * g_b[:, n:])
+    want = _gradient_quadrature(f)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_certificate_forms_one_laplacian_per_map(ball, monkeypatch):
+    # harmonic_residual and the dbar check of build_U read one cached array
+    calls = []
+    sample, laplacian = PolynomialMap.sample, DiskGrid.laplacian
+
+    def spy_sample(self, grid, field="values", boundary=False):
+        calls.extend(["analytic"] if field == "laplacian" else [])
+        return sample(self, grid, field, boundary)
+
+    def spy_laplacian(self, values):
+        calls.append("sampled")
+        return laplacian(self, values)
+
+    monkeypatch.setattr(PolynomialMap, "sample", spy_sample)
+    monkeypatch.setattr(DiskGrid, "laplacian", spy_laplacian)
+    f = make_map("f3", DiskGrid(32, 64))
+    assert certify_index(f, ball).certified_bound == 1
+    assert calls == ["analytic"]
+    calls.clear()
+    assert certify_index(f.rotated(7), ball).certified_bound == 1
+    assert calls == ["sampled"]
+
+
+@pytest.mark.parametrize("case", ["ball4", "ball6", "ball6-tilted"])
+def test_build_u_differentiates_nothing_on_an_analytic_map(case, monkeypatch):
+    f, df = _zbar2(case)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_U differentiated on the grid")
+
+    monkeypatch.setattr(DiskGrid, "theta_derivative", forbidden)
+    monkeypatch.setattr(DiskGrid, "radial_derivative", forbidden)
+    us = build_U(f)
+    assert len(us.sections) == f.n - 1 and us.dbar_coefficient_sup == 0.0
+
+
+def test_pairing_dbar_sup_vanishes_on_harmonic_polynomial_maps(grid, maps, ball, conj_ball,
+                                                                synthetic_c3):
+    # the exact Laplacian of a harmonic polynomial map has no terms
+    dom, f = synthetic_c3
+    certs = [certify_index(maps["f3"], ball), certify_index(f, dom, k=2)]
+    for n in (2, 3, 4):
+        dom, f = conj_ball(n, grid)
+        certs.append(certify_index(f, dom))
+    certs += [certify_index(*_zbar2(case)) for case in ("ball4", "ball6", "ball6-tilted")]
+    assert [c.diagnostics["pairing_dbar_sup"] for c in certs] == [0.0] * len(certs)
+
+
+@pytest.mark.parametrize("case", ["f3-128x256", "ball6-rotated"])
+def test_dbar_check_of_a_sampled_map_is_a_quarter_laplacian(ball, case):
+    # |dbar c_j| = |Laplacian (x_j + i y_j)| / 4, its sup over the annulus
+    if case == "ball6-rotated":
+        f, df = _zbar2(case)
+    else:
+        f, df = make_map("f3", DiskGrid(128, 256)).rotated(37), ball
+    grid, n = f.grid, f.n
+    lap = grid.laplacian(f.values.copy())
+    annulus = (grid.r >= 0.05) & (grid.r <= 0.95)
+    w = (lap[..., :n] + 1j * lap[..., n:])[annulus]
+    want = 0.25 * max(np.max(np.abs(w[..., j])) for j in range(n))
+    got = certify_index(f, df).diagnostics["pairing_dbar_sup"]
+    assert 0.0 < want < 1e-8
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_certificate_memory(conj_ball, monkeypatch):
     # with dense sections and their gradients a certificate at n = 4, 32x512
-    # peaked at 22-23 MiB; from the coefficients it forms no field gradient
-    # and peaks at 11.2 MiB
+    # peaked at 22-23 MiB, and at 8.8 MiB when it differentiated the
+    # coefficients c_k on the grid; from their rim traces and the map's
+    # Laplacian it peaks at 5.2 MiB
     dom, f = conj_ball(4, DiskGrid(32, 512))
 
     def no_gradients(V):
@@ -633,4 +728,4 @@ def test_certificate_memory(conj_ball, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.0 * 2**20
+    assert peak <= 7.0 * 2**20

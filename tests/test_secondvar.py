@@ -437,6 +437,19 @@ def test_basis_fields_of_one_frequency_share_a_profile(grid, maps, ball):
     assert bumps[4].profile is bumps[11].profile is not bumps[0].profile
 
 
+@pytest.mark.parametrize("case", ["ball-c2", "ball-c3"])
+def test_basis_holds_52n_fields(grid, ball, conj_ball, monkeypatch, case):
+    # 26 n projected frames and 26 n bumps; a larger size is refused before
+    # the boundary state is formed
+    df, f = (ball, make_map("f3", grid)) if case == "ball-c2" else conj_ball(3, grid)
+    basis = sv.admissible_basis(f, df, 52 * f.n)
+    assert len(basis) == 52 * f.n and len({V.label for V in basis}) == 52 * f.n
+    monkeypatch.setattr(sv, "boundary_state", None)
+    with pytest.raises(ValueError, match=rf"^basis size {52 * f.n + 1} exceeds the "
+                                         rf"{52 * f.n} fields available at n = {f.n}$"):
+        sv.admissible_basis(f, df, 52 * f.n + 1)
+
+
 def test_gram_generic_entries_match_index_form(grid, maps, ball):
     from dbardisk.holsec import build_U
 
