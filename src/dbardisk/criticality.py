@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diskmap import DiskMap
+from .diskmap import DiskGrid, DiskMap
 from .geometry import DefiningFunction, apply_j, boundary_data
 
 __all__ = [
@@ -33,17 +33,24 @@ INTERIOR_RADIUS = 0.95
 INNER_RADIUS = 0.05
 
 
+def annulus(grid: DiskGrid) -> slice:
+    """The radial index range of INNER_RADIUS <= r <= INTERIOR_RADIUS (r is sorted)."""
+    return slice(int(np.searchsorted(grid.r, INNER_RADIUS)),
+                 int(np.searchsorted(grid.r, INTERIOR_RADIUS, side="right")))
+
+
 def harmonic_residual(f: DiskMap) -> float:
     """Sup norm of the componentwise Laplacian of f (``DiskMap.laplacian``).
 
-    The exact Laplacian is used when the map carries an analytic evaluator;
-    otherwise repeated spectral differentiation restricted to the annulus
-    0.05 <= r <= 0.95.
+    The exact Laplacian is used when the map carries an analytic evaluator
+    (0.0 when it has no terms); otherwise repeated spectral differentiation
+    restricted to the annulus 0.05 <= r <= 0.95.
     """
     lap = f.laplacian()
+    if lap is None:
+        return 0.0
     if f.analytic is None:
-        r = f.grid.r
-        lap = lap[(r <= INTERIOR_RADIUS) & (r >= INNER_RADIUS)]
+        lap = lap[annulus(f.grid)]
     return float(np.max(np.linalg.norm(lap, axis=-1)))
 
 
@@ -98,11 +105,21 @@ def boundary_condition(f: DiskMap, df: DefiningFunction):
 
 
 def conformality(f: DiskMap) -> float:
-    """Sup over the grid of |<f_x, f_y>| + ||f_x|^2 - |f_y|^2|."""
-    d = f.derivatives()
-    dot = np.sum(d.f_x * d.f_y, axis=-1)
-    diff = np.sum(d.f_x**2, axis=-1) - np.sum(d.f_y**2, axis=-1)
-    return float(np.max(np.abs(dot) + np.abs(diff)))
+    """Sup over the grid of |<f_x, f_y>| + ||f_x|^2 - |f_y|^2| = |Re phi| + |Im phi| / 2,
+    phi = 4 <f_z, f_z> the Hopf differential: from its polar terms for an
+    analytic map (``PolynomialMap.hopf``; 0.0 without terms), else in the polar
+    frame, e^{-2 i theta} (|f_r|^2 - |f_theta|^2 / r^2 - 2 i <f_r, f_theta> / r)."""
+    if f.analytic is not None:
+        phi = f.analytic.hopf(f.grid)
+        if phi is None:
+            return 0.0
+        re, im = phi[..., 0], phi[..., 1]
+    else:
+        d, inv_r, dot = f.derivatives(), f.grid.inv_r[:, None], "...k,...k"
+        phi = (np.einsum(dot, d.f_r, d.f_r) - np.einsum(dot, d.f_theta, d.f_theta) * inv_r**2
+               - 2j * np.einsum(dot, d.f_r, d.f_theta) * inv_r) * np.exp(-2j * f.grid.theta)
+        re, im = phi.real, phi.imag
+    return float(np.max(np.abs(re) + 0.5 * np.abs(im)))
 
 
 @dataclass

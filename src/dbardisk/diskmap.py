@@ -161,11 +161,13 @@ class DiskGrid:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """f_rr + f_r / r + f_tt / r^2 on the grid."""
-        fr = self.radial_derivative(values)
-        frr = self.radial_derivative(fr)
-        ftt = self.theta_derivative(values, order=2)
         r = self.r[:, None, None]
-        return frr + fr / r + ftt / r**2
+        fr = self.radial_derivative(values)
+        lap = self.radial_derivative(fr)
+        lap += np.divide(fr, r, out=fr)
+        ftt = self.theta_derivative(values, order=2)
+        lap += np.divide(ftt, r**2, out=ftt)
+        return lap
 
     def dirichlet_energy(self, trace: np.ndarray) -> np.ndarray:
         """int_D |grad u|^2 per column of the harmonic extension u of rim samples
@@ -236,6 +238,19 @@ class PolynomialMap:
             for p, q, c in coord:
                 if p < 0 or q < 0 or not np.isfinite(c):
                     raise ValueError(f"bad polynomial term (p={p}, q={q}, c={c})")
+
+    def hopf(self, grid: DiskGrid) -> Optional[np.ndarray]:
+        """phi = 4 sum_j (dw_j/dz)(d conj(w_j)/dz) on the grid as (Re phi, Im phi),
+        (n_r, n_theta, 2), or None without terms: terms c z^p zbar^q, c' z^p' zbar^q'
+        of w_j add 4 p q' c conj(c') r^(p+q+p'+q'-2) e^{i (p-q-p'+q'-2) theta}."""
+        terms = [(p + q + p2 + q2 - 2, p - q - p2 + q2 - 2, d) for coord in self.coords
+                 for p, q, c in coord for p2, q2, c2 in coord
+                 if (d := 4 * p * q2 * c * c2.conjugate())]
+        if not terms:
+            return None
+        terms = [(a, k, d, 0) for a, k, d in terms] + [
+            (a, k, complex(d.imag, -d.real), 1) for a, k, d in terms]
+        return polar_sum(terms, grid.r, grid.theta, 2)
 
     def sample(self, grid: DiskGrid, field: str = "values",
                boundary: bool = False) -> np.ndarray:
@@ -322,10 +337,14 @@ class DiskMap:
             self._derivs = derivatives(self)
         return self._derivs
 
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self) -> Optional[np.ndarray]:
         """Componentwise Laplacian on the grid, read-only and cached: exact from
-        the analytic evaluator, else ``DiskGrid.laplacian`` of the samples."""
+        the analytic evaluator, else ``DiskGrid.laplacian`` of the samples.
+        None for a harmonic polynomial map: no term c z^p zbar^q has p q c != 0."""
         if self._laplacian is None:
+            if self.analytic is not None and not any(
+                    p * q * c for coord in self.analytic.coords for p, q, c in coord):
+                return None
             self._laplacian = (self.grid.laplacian(self.values) if self.analytic is None
                                else self.analytic.sample(self.grid, "laplacian"))
             self._laplacian.flags.writeable = False

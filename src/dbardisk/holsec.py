@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import INNER_RADIUS, INTERIOR_RADIUS, boundary_state, is_critical
+from .criticality import annulus, boundary_state, is_critical
 from .diskmap import DiskMap
 from .errors import (
     DegeneratePivotError,
@@ -396,15 +396,17 @@ def build_U(f: DiskMap, tol_holo: float = 1e-8) -> USections:
         raise DegeneratePivotError("all pairing coefficients vanish identically")
     # each coefficient must be holomorphic (f harmonic). With w_j = x_j + i y_j,
     # c_j = conj(dw_j/dzbar) and |dbar c_j| = |Laplacian w_j| / 4, from the
-    # map's cached Laplacian; the sup is taken on the annulus that
-    # harmonic_residual uses, away from the noise at the centre and the rim
-    lap2 = f.laplacian() ** 2
-    lap2 = lap2[..., :n] + lap2[..., n:]
-    annulus = (grid.r >= INNER_RADIUS) & (grid.r <= INTERIOR_RADIUS)
-    dbar_sup = 0.25 * float(np.sqrt(np.max(lap2[annulus])))
+    # map's cached Laplacian (None, all 0, for a harmonic polynomial map); the
+    # sup is taken on the annulus that harmonic_residual uses, away from the
+    # noise at the centre and the rim
+    dbar_sup, dbar2, lap = 0.0, np.zeros(n), f.laplacian()
+    if lap is not None:
+        lap2 = lap**2
+        lap2 = lap2[..., :n] + lap2[..., n:]
+        dbar_sup = 0.25 * float(np.sqrt(np.max(lap2[annulus(grid)])))
+        dbar2 = 0.25 * (grid.w_disk.ravel() @ lap2.reshape(-1, n))
     # per coefficient: D_k = int |2 dbar c_k|^2 = int |Laplacian w_k|^2 / 4, and
     # G_k = int |grad c_k|^2 the Dirichlet energy of the rim trace of c_k
-    dbar2 = 0.25 * (grid.w_disk.ravel() @ lap2.reshape(-1, n))
     grad2 = grid.dirichlet_energy(coeff_b)
 
     def section(g, j):

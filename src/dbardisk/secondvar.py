@@ -885,7 +885,9 @@ KMAX = 6
 
 
 def interior_bumps(grid: DiskGrid, n: int, count: int):
-    """Compactly-vanishing-at-the-rim fields (1 - r^2) r^k trig(k t) e_c."""
+    """Compactly-vanishing-at-the-rim fields (1 - r^2) r^k trig(k t) e_c, 26 n at most."""
+    if count > (available := 2 * (2 * KMAX + 1) * n):
+        raise ValueError(f"bump count {count} exceeds the {available} bumps available at n = {n}")
     fields = []
     dim = 2 * n
     for k in range(KMAX + 1):
@@ -904,8 +906,6 @@ def interior_bumps(grid: DiskGrid, n: int, count: int):
                         grid, n, prof, ang, label=f"bump-k{k}-{tag}-e{c}"
                     )
                 )
-    if len(fields) < count:
-        raise ValueError(f"KMAX={KMAX} yields only {len(fields)} bumps < {count}")
     return fields
 
 

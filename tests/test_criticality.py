@@ -1,16 +1,24 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from dbardisk.criticality import (
+    annulus,
     boundary_condition,
     boundary_state,
     conformality,
     harmonic_residual,
     is_critical,
 )
-from dbardisk.diskmap import DiskMap, PolynomialMap, make_map
+from dbardisk.diskmap import DiskGrid, DiskMap, PolynomialMap, make_map
 from dbardisk.errors import ConstraintViolationError
 from dbardisk.geometry import DefiningFunction
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402  (the benchmark's random polynomial maps)
 
 
 def test_harmonic_residual_linear_maps(maps):
@@ -38,6 +46,34 @@ def test_harmonic_residual_sampled_harmonic_polynomials(grid, rng):
     exact = DiskMap.from_polynomial(pm, grid)
     sampled = DiskMap(grid, 2, exact.values, exact.boundary, analytic=None)
     assert harmonic_residual(sampled) < 1e-9
+
+
+def test_harmonic_residual_vanishes_on_harmonic_polynomial_maps(grid, maps, conj_ball):
+    # their Laplacian has no polar terms: nothing is sampled or reduced
+    fs = [*maps.values()] + [conj_ball(n, grid)[1] for n in (2, 3, 4)]
+    assert [harmonic_residual(f) for f in fs] == [0.0] * len(fs)
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (24, 48), (128, 256)])
+def test_annulus_is_the_radial_mask(shape):
+    grid = DiskGrid(*shape)
+    r = grid.r
+    mask = (r <= 0.95) & (r >= 0.05)
+    assert np.array_equal(np.arange(grid.n_r)[annulus(grid)], np.flatnonzero(mask))
+
+
+def test_harmonic_residual_of_a_nonharmonic_map_keeps_its_value(grid):
+    # the exact Laplacian over the grid; for a sampled copy the spectral one
+    # over the annulus, here picked by a mask
+    f = make_map({"n": 2, "coords": [[{"zp": 2, "zq": 1, "re": 0.5}],
+                                     [{"zp": 0, "zq": 3, "im": 1.0}]]}, grid)
+    g = f.rotated(5)
+    r = grid.r
+    mask = (r <= 0.95) & (r >= 0.05)
+    exact = f.analytic.sample(grid, "laplacian")
+    sampled = grid.laplacian(g.values)[mask]
+    assert harmonic_residual(f) == float(np.max(np.linalg.norm(exact, axis=-1))) > 1.0
+    assert harmonic_residual(g) == float(np.max(np.linalg.norm(sampled, axis=-1))) > 1.0
 
 
 def test_boundary_condition_f3_ball(maps, ball):
@@ -101,6 +137,29 @@ def test_conformality_catalog(maps, grid):
     # (2x, y, 0, 0): |f_x|^2 - |f_y|^2 = 3 everywhere
     pm = PolynomialMap(2, [[(1, 0, 1.0), (0, 1, 1.0)], [(1, 0, -0.5j), (0, 1, 0.5j)]])
     assert conformality(DiskMap.from_polynomial(pm, grid)) >= 3.0
+
+
+def _cartesian_defect(f):
+    """The conformality defect from the Cartesian f_x and f_y: the oracle of
+    the Hopf-differential routes."""
+    d = f.derivatives()
+    dot = np.sum(d.f_x * d.f_y, axis=-1)
+    diff = np.sum(d.f_x**2, axis=-1) - np.sum(d.f_y**2, axis=-1)
+    return float(np.max(np.abs(dot) + np.abs(diff)))
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (24, 48), (32, 256)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_conformality_matches_the_cartesian_defect(shape, n):
+    # analytic maps (polar terms of phi) and their rotated samples (polar frame)
+    rng = np.random.default_rng(1000 * n + shape[1])
+    grid = DiskGrid(*shape)
+    for _ in range(3):
+        coords = workloads.random_polynomial_map(rng, n)
+        f = DiskMap.from_polynomial(PolynomialMap(n, coords), grid)
+        for m in (f, f.rotated(int(rng.integers(1, grid.n_theta)))):
+            got, want = conformality(m), _cartesian_defect(m)
+            assert abs(got - want) <= 1e-14 * max(1.0, want), (coords, m.name)
 
 
 def test_is_critical_catalog(maps, ball, weak, cylinder):

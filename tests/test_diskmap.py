@@ -148,6 +148,18 @@ def test_dirichlet_energy_of_holomorphic_polynomials(shape, rng):
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(32, 64), (24, 48), (48, 256)])
+def test_grid_laplacian_accumulates_bit_for_bit(shape, rng):
+    # in place, the sum frr + fr / r + ftt / r^2 keeps every bit
+    grid = DiskGrid(*shape)
+    values = rng.normal(size=(grid.n_r, grid.n_theta, 4))
+    fr = grid.radial_derivative(values)
+    r = grid.r[:, None, None]
+    want = grid.radial_derivative(fr) + fr / r + grid.theta_derivative(values, order=2) / r**2
+    got = grid.laplacian(values)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_map_laplacian_is_cached_and_read_only(grid):
     # exact from the polar terms, spectral for a sampled (rotated) copy
     f = make_map({"n": 2, "coords": [[{"zp": 2, "zq": 1, "re": 0.5}],
@@ -159,6 +171,14 @@ def test_map_laplacian_is_cached_and_read_only(grid):
     assert np.max(np.abs(g.laplacian() - exact)) < 1e-9
     for m in (f, g):
         assert m.laplacian() is m.laplacian() and not m.laplacian().flags.writeable
+
+
+def test_harmonic_polynomial_map_has_no_laplacian(grid, maps, monkeypatch):
+    # no term c z^p zbar^q with p q c != 0: nothing is sampled
+    f = make_map({"n": 2, "coords": [[{"zp": 3, "zq": 0, "re": 0.5}, {"zp": 0, "zq": 2, "im": 1.0},
+                                      {"zp": 1, "zq": 1, "re": 0.0}], []]}, grid)
+    monkeypatch.setattr(PolynomialMap, "sample", None)
+    assert [m.laplacian() for m in (f, *maps.values())] == [None] * 5
 
 
 def test_resolution_errors():

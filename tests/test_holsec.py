@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dbardisk import holsec
+from dbardisk import _kernels, holsec
 from dbardisk import secondvar as sv
 from dbardisk.diskmap import DiskGrid, DiskMap, PolynomialMap, make_map
 from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
@@ -647,7 +647,8 @@ def test_rim_dirichlet_energy_matches_the_gradient_quadrature(case):
 
 
 def test_certificate_forms_one_laplacian_per_map(ball, monkeypatch):
-    # harmonic_residual and the dbar check of build_U read one cached array
+    # harmonic_residual and the dbar check of build_U read one cached array,
+    # and a harmonic polynomial map, whose Laplacian has no terms, forms none
     calls = []
     sample, laplacian = PolynomialMap.sample, DiskGrid.laplacian
 
@@ -663,10 +664,31 @@ def test_certificate_forms_one_laplacian_per_map(ball, monkeypatch):
     monkeypatch.setattr(DiskGrid, "laplacian", spy_laplacian)
     f = make_map("f3", DiskGrid(32, 64))
     assert certify_index(f, ball).certified_bound == 1
-    assert calls == ["analytic"]
-    calls.clear()
+    assert calls == []
     assert certify_index(f.rotated(7), ball).certified_bound == 1
     assert calls == ["sampled"]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_certificate_of_a_harmonic_polynomial_map_samples_only_the_rim(conj_ball, monkeypatch,
+                                                                       n):
+    # no interior field of the map, and no Cartesian field from the chain rule
+    sample = PolynomialMap.sample
+    fields = []
+
+    def spy_sample(self, grid, field="values", boundary=False):
+        assert boundary, f"interior {field} sampled"
+        fields.append(field)
+        return sample(self, grid, field, boundary)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polar_to_cartesian called")
+
+    monkeypatch.setattr(PolynomialMap, "sample", spy_sample)
+    monkeypatch.setattr(_kernels, "polar_to_cartesian", forbidden)
+    df, f = conj_ball(n, DiskGrid(32, 512))
+    assert certify_index(f, df).certified_bound == n - 1
+    assert fields
 
 
 @pytest.mark.parametrize("case", ["ball4", "ball6", "ball6-tilted"])

@@ -450,6 +450,17 @@ def test_basis_holds_52n_fields(grid, ball, conj_ball, monkeypatch, case):
         sv.admissible_basis(f, df, 52 * f.n + 1)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_interior_bumps_hold_26n_fields(grid, monkeypatch, n):
+    # a count past the 26 n bumps is refused before any field is built
+    bumps = sv.interior_bumps(grid, n, 26 * n)
+    assert len(bumps) == 26 * n and len({V.label for V in bumps}) == 26 * n
+    monkeypatch.setattr(sv.VariationField, "separable", None)
+    with pytest.raises(ValueError, match=rf"^bump count {26 * n + 1} exceeds the "
+                                         rf"{26 * n} bumps available at n = {n}$"):
+        sv.interior_bumps(grid, n, 26 * n + 1)
+
+
 def test_gram_generic_entries_match_index_form(grid, maps, ball):
     from dbardisk.holsec import build_U
 

@@ -43,8 +43,7 @@ EXPECTED_SPANS = {
                       "harness.run_s", "geometry.rho_calls"],
     "sampled_oracles": ["holsec.build_U_s", "holsec.certify_index_s",
                         "secondvar.index_form_s",
-                        "secondvar.boundary_state_s", "diskmap.derivatives_spectral_s",
-                        "kernels.polar_to_cartesian_s"],
+                        "secondvar.boundary_state_s", "diskmap.derivatives_spectral_s"],
 }
 
 # per workload: (operation name prefix, spans) for spans that the first
@@ -121,3 +120,20 @@ def test_tracer_reaches_the_levi_classification():
         tracer.uninstall()
     assert geometry.classify_pseudoconvexity is original
     assert metrics["geometry.classify_pseudoconvexity_s"]["value"] > 0
+
+
+def test_tracer_reaches_the_polar_chain_rule():
+    # no workload reads the Cartesian fields of a sampled map (conformality
+    # works in the polar frame), so no workload reaches polar_to_cartesian;
+    # reading f_x of a sampled map does
+    original = _kernels.polar_to_cartesian
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        f = diskmap.make_map("f3", diskmap.DiskGrid(32, 64)).rotated(3)
+        assert f.derivatives().f_x.shape == f.values.shape
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert _kernels.polar_to_cartesian is original
+    assert metrics["kernels.polar_to_cartesian_s"]["value"] > 0
