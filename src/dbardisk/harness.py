@@ -168,6 +168,13 @@ def _json_value(obj) -> str:
         text = ", ".join(map("%.17g".__mod__, obj))
         if "n" not in text:  # else an inf or a nan, which the loop below locates
             return "[" + text + "]"
+    if type(obj) is list and obj and set(map(type, obj)) == {list}:
+        width = len(obj[0])  # rows of equal width, all floats (a matrix): one format
+        flat = [x for row in obj if len(row) == width for x in row]
+        if width and len(flat) == width * len(obj) and set(map(type, flat)) == {float}:
+            text = "], [".join([", ".join(["%.17g"] * width)] * len(obj)) % tuple(flat)
+            if "n" not in text:  # else the loop below locates the inf or nan
+                return "[[" + text + "]]"
     import json as _json
 
     if obj is None or isinstance(obj, (bool, str)):

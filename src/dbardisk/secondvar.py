@@ -356,6 +356,21 @@ def _separable_interior(grid: DiskGrid, basis):
     return grid.w_theta * (r1 * (a @ a.T) + r2 * (a_t @ a_t.T)), rim[:, None, None] * ang_t
 
 
+def _boundary_blocks(state: BoundaryState, grid: DiskGrid, vb: np.ndarray, vb_t: np.ndarray):
+    """Acceleration and symmetrized circulation blocks (m, m) of the index
+    form over real traces vb (m, n_theta, 2n) with theta-derivatives vb_t."""
+    m = len(vb)
+    # acceleration block: -sum_m w lam/|grad| (V_a . Hess . V_b), Hess V_a per node
+    hv = state.hess @ vb.transpose(1, 2, 0)
+    hv *= (grid.w_theta * state.lam / state.grad_norm)[:, None, None]
+    hv = np.ascontiguousarray(hv.transpose(2, 0, 1))
+    acc = -hv.reshape(m, -1) @ vb.reshape(m, -1).T
+    # circulation block, symmetrized
+    jt = apply_j(vb_t)
+    c1 = grid.w_theta * (jt.reshape(m, -1) @ vb.reshape(m, -1).T)
+    return acc, 0.5 * (c1 + c1.T)
+
+
 def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationField],
                   *, tol_neg_rel: float = 1e-8, description: str = "") -> GramSpectrum:
     """Gram matrix of polarized index-form values over a variation basis.
@@ -384,17 +399,7 @@ def assemble_gram(f: DiskMap, df: DefiningFunction, basis: Sequence[VariationFie
         interior = _kernels.gram_interior(grads, grid.w_disk)
         vb_t = grid.theta_derivative(vb, axis=1)
 
-    # acceleration block: -sum_m w lam/|grad| (V_a . Hess . V_b), Hess V_a per node
-    hv = state.hess @ vb.transpose(1, 2, 0)
-    hv *= (grid.w_theta * state.lam / state.grad_norm)[:, None, None]
-    hv = np.ascontiguousarray(hv.transpose(2, 0, 1))
-    acc = -hv.reshape(m, -1) @ vb.reshape(m, -1).T
-
-    # circulation block, symmetrized
-    jt = apply_j(vb_t)
-    c1 = grid.w_theta * (jt.reshape(m, -1) @ vb.reshape(m, -1).T)
-    circ = 0.5 * (c1 + c1.T)
-
+    acc, circ = _boundary_blocks(state, grid, vb, vb_t)
     gram = 0.5 * (interior + acc + circ)
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
@@ -886,6 +891,8 @@ KMAX = 6
 
 def interior_bumps(grid: DiskGrid, n: int, count: int):
     """Compactly-vanishing-at-the-rim fields (1 - r^2) r^k trig(k t) e_c, 26 n at most."""
+    if count < 0:
+        raise ValueError(f"bump count {count} is negative")
     if count > (available := 2 * (2 * KMAX + 1) * n):
         raise ValueError(f"bump count {count} exceeds the {available} bumps available at n = {n}")
     fields = []
@@ -918,6 +925,8 @@ def admissible_basis(f: DiskMap, df: DefiningFunction, size: int):
     bumps once the frame modes are exhausted: 52 n fields at most, reproducible
     from size.
     """
+    if size < 1:
+        raise ValueError(f"basis size {size} is below 1: a basis needs at least one field")
     if size > (available := 4 * (2 * KMAX + 1) * f.n):
         raise ValueError(f"basis size {size} exceeds the {available} fields available at n = {f.n}")
     state = boundary_state(f, df)

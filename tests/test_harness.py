@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbardisk import geometry
+from dbardisk import geometry, harness
 from dbardisk.cli import main
 from dbardisk.errors import NonFiniteValueError, Refusal
 from dbardisk.harness import ACTIONS, ScenarioConfig, emit, run, to_json_text
@@ -198,6 +198,84 @@ def test_json_fast_paths_match_per_element_serialization():
     ]
     for doc in docs:
         assert to_json_text(doc) == _per_element_json(doc) + "\n"
+
+
+def _row_by_row_json(obj):
+    """The serializer as it stood before lists of float rows took one
+    format pass: each row of a 2-D list is a recursive call. Kept as the
+    oracle for that pass, error path included."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x - x != 0.0:
+            raise harness._NonFinite(x)
+        return "%.17g" % x
+    if type(obj) is list and set(map(type, obj)) == {float}:
+        text = ", ".join(map("%.17g".__mod__, obj))
+        if "n" not in text:
+            return "[" + text + "]"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (list, tuple)):
+        parts = []
+        try:
+            for v in obj:
+                parts.append(_row_by_row_json(v))
+        except harness._NonFinite as exc:
+            exc.args += (f"[{len(parts)}]",)
+            raise
+        return "[" + ", ".join(parts) + "]"
+    if isinstance(obj, np.ndarray):
+        return _row_by_row_json(obj.tolist())
+    if isinstance(obj, dict):
+        parts = []
+        try:
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+                parts.append(f"{json.dumps(str(k))}: {_row_by_row_json(v)}")
+        except harness._NonFinite as exc:
+            exc.args += (f".{k}",)
+            raise
+        return "{" + ", ".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _outcome(serialize, doc):
+    try:
+        return serialize(doc)
+    except (NonFiniteValueError, harness._NonFinite) as exc:
+        if isinstance(exc, NonFiniteValueError):
+            return str(exc)
+        value, *path = exc.args
+        return f"report value ${''.join(reversed(path))} is {value}, not a finite number"
+
+
+def test_json_float_rows_match_the_row_by_row_serializer():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(-2**63, 2**63 - 1, size=6000, dtype=np.int64).view(float)
+    finite = bits[np.isfinite(bits)]
+    docs = []
+    for rows, cols in [(512, 3), (1, 1), (7, 1), (1, 9), (64, 2), (3, 5)]:
+        docs.append(rng.choice(finite, (rows, cols)).tolist())
+        docs.append(rng.standard_normal((rows, cols)).tolist())
+        docs.append(rng.standard_normal((rows, cols)))
+    docs.append(np.array(EDGE_FLOATS).reshape(3, 5).tolist())
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for i, j in [(0, 0), (2, 1), (4, 2)]:
+            m = rng.standard_normal((5, 3)).tolist()
+            m[i][j] = bad
+            docs += [m, {"levi": m}, [m]]
+    docs += [
+        [[0.5, 1.5], [2.5]], [[0.5], [1.5, 2.5]], [[1.0, 2.0], []], [[], [1.0]],
+        [[1.0, 2], [3.0, 4.0]], [[1.0, True], [0.5, 0.25]], [[1, 2], [3, 4]],
+        [[1.0, np.float64(2.0)], [3.0, 4.0]], [[1.0, None], [2.0, 3.0]],
+        [[0.5, -0.0], (1.0, 2.0)], [[0.5, float("nan")], [1.0]], [[1.0], 2.0],
+        [], [[]], [[], []], [[[1.0, 2.0]], [[3.0, 4.0]]], [["a", 1.0]],
+        {"a": [[0.25, -0.0], [1e308, 5e-324]], "b": [[1.0, 2.0], [3.0, float("inf")]]},
+    ]
+    for doc in docs:
+        want = _outcome(lambda d: _row_by_row_json(d) + "\n", doc)
+        assert _outcome(to_json_text, doc) == want, doc
 
 
 @pytest.mark.parametrize("doc, path, value", [
@@ -476,6 +554,21 @@ def test_cli_malformed_values_are_errors(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+@pytest.mark.parametrize("size", [0, -1, -3, 1])
+def test_cli_index_basis_size_below_one_is_an_error(size, tmp_path, capsys):
+    code = main(["index", "--domain", "ball4", "--map", "f3", "--grid", "16,32",
+                 "--basis-size", str(size), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    if size == 1:
+        assert code == 0
+        assert (tmp_path / "out" / "gram.csv").read_text().splitlines()[0] == "frame-k0-cos-e0"
+        return
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: basis size {size} is below 1: "
+                            "a basis needs at least one field\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("top", [[1, 2], [["map", "f1"]], "f1", 3, None])

@@ -8,14 +8,15 @@ import pytest
 from dbardisk import _kernels, holsec
 from dbardisk import secondvar as sv
 from dbardisk.diskmap import DiskGrid, DiskMap, PolynomialMap, make_map
-from dbardisk.errors import Refusal, ResolutionError, VacuousCertificateError
+from dbardisk.errors import (AdmissibilityError, Refusal, ResolutionError,
+                             VacuousCertificateError)
 from dbardisk.geometry import apply_j, hermitian, make_domain
 from dbardisk.holsec import build_U, certify_index, dbar_kernel_dimension
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import workloads  # noqa: E402  (the benchmark's seeded connections)
-from conftest import ball_spec  # noqa: E402
+from conftest import SYNTHETIC_C3_DOMAIN, SYNTHETIC_C3_MAP, ball_spec  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -751,3 +752,122 @@ def test_certificate_memory(conj_ball, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 7.0 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the certificate as a Gram over Re U_j, Im U_j
+
+
+def _stacked_certificate_cases():
+    cases = [("ball-c%d-%dx%d" % (n, *shape), n, shape)
+             for n in (2, 3, 4) for shape in ((32, 256), (32, 512), (64, 128))]
+    # the zbar^2 disks have non-constant sections, so a circulation term
+    return cases + [("synthetic-c3-k2", 3, (32, 64)), ("f3-rotated", 2, (64, 128)),
+                    ("zbar2-ball6-tilted", 3, None), ("zbar2-ball6-rotated", 3, None)]
+
+
+def _certificate_case(name, n, shape):
+    """(map, domain, k) of a case of _stacked_certificate_cases."""
+    if name.startswith("zbar2-"):
+        return (*_zbar2(name[6:]), 1)
+    grid = DiskGrid(*shape)
+    if name == "synthetic-c3-k2":
+        return make_map(SYNTHETIC_C3_MAP, grid), make_domain(SYNTHETIC_C3_DOMAIN), 2
+    if name == "f3-rotated":
+        return make_map("f3", grid).rotated(29), make_domain("ball4"), 1
+    spec = {"n": n, "name": f"conj_disk_c{n}", "coords": [[]] * n}
+    spec["coords"][n - 2] = [{"zp": 0, "zq": 1, "re": np.cos(0.4), "im": np.sin(0.4)}]
+    return make_map(spec, grid), make_domain(ball_spec(n)), 1
+
+
+@pytest.mark.parametrize("name, n, shape", _stacked_certificate_cases(),
+                         ids=[c[0] for c in _stacked_certificate_cases()])
+def test_certificate_matches_the_per_field_index_forms(name, n, shape):
+    # values are I_C(U_j) and the crosschecks (I(Re U_j), I(Im U_j)), each
+    # evaluated alone by the per-field routes
+    f, df, k = _certificate_case(name, n, shape)
+    cert = certify_index(f, df, k=k)
+    sections = build_U(f).sections
+    want = [sv.index_form_complex(f, df, U) for U in sections]
+    want_real = [(sv.index_form_real(f, df, U.real_part), sv.index_form_real(f, df, U.imag_part))
+                 for U in sections]
+    scale = max(abs(v) for v in want + [x for pair in want_real for x in pair])
+    assert len(cert.values) == len(cert.real_crosscheck) == n - 1
+    assert all(type(v) is float for v in cert.values)
+    assert np.max(np.abs(np.subtract(cert.values, want))) <= 2e-14 * scale
+    assert np.max(np.abs(np.subtract(cert.real_crosscheck, want_real))) <= 2e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certificate_takes_one_fft_of_the_stacked_traces(conj_ball, monkeypatch, n):
+    # one theta-derivative, of the 2(n-1) real traces together, and no
+    # per-field index form
+    df, f = conj_ball(n, DiskGrid(32, 512))
+    shapes = []
+    theta_derivative = DiskGrid.theta_derivative
+
+    def spy(self, arr, *args, **kwargs):
+        shapes.append(arr.shape)
+        return theta_derivative(self, arr, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-field index form called")
+
+    monkeypatch.setattr(DiskGrid, "theta_derivative", spy)
+    monkeypatch.setattr(sv, "index_form_complex", forbidden)
+    monkeypatch.setattr(sv, "index_form_real", forbidden)
+    assert certify_index(f, df).certified_bound == n - 1
+    assert shapes == [(2 * (n - 1), 512, 2 * n)]
+
+
+def _perturbed(U, delta, label=None):
+    """U with delta added to its rim trace, keeping its interior terms."""
+    return sv.VariationField._lazy(U.grid, U.n, lambda: U.values, U.boundary + delta,
+                                   label or U.label, U._interior)
+
+
+def _first_error(calls):
+    """Class and message of the first call that raises AdmissibilityError."""
+    for call in calls:
+        try:
+            call()
+        except AdmissibilityError as exc:
+            return type(exc), str(exc), exc.measured_sup
+    raise AssertionError("no call raised")
+
+
+@pytest.mark.parametrize("which", ["section-1", "sections-0-1", "real-part", "imag-part",
+                                   "both-parts", "im-1-re-2"])
+def test_certificate_refuses_a_perturbed_section_as_the_per_field_routes(conj_ball,
+                                                                        monkeypatch, which):
+    # the complex check runs over every section first, then the tangency of
+    # Re U_1, Im U_1, Re U_2, ...: the first failure raises the same error as
+    # the per-field routes, taken in that order, would
+    df, f = conj_ball(3, DiskGrid(32, 64))
+    us = build_U(f)
+    g = f.derivatives().boundary_f_zbar
+    nu = sv.boundary_state(f, df).nu
+    if which.startswith("section"):
+        # along f_zbar: not orthogonal to it
+        bad = [int(j) for j in which.split("-")[1:]]
+        deltas = [(1e-5 * (j + 1) * g if j in bad else 0.0) for j in range(2)]
+    else:
+        # orthogonal to f_zbar but with a normal real (or imaginary) part
+        d = nu - (hermitian(nu, g) / np.sum(np.abs(g) ** 2, axis=-1))[:, None] * g
+        d = 1e-5 * d
+        assert np.max(np.abs(hermitian(d, g))) < 1e-12
+        deltas = {"real-part": [0.0, d], "imag-part": [0.0, 1j * d],
+                  "both-parts": [0.0, (1 + 1j) * d], "im-1-re-2": [1j * d, d]}[which]
+    sections = [_perturbed(U, delta) for U, delta in zip(us.sections, deltas)]
+    monkeypatch.setattr(holsec, "build_U", lambda *a, **k: holsec.USections(
+        sections=sections, pivot=us.pivot))
+    calls = [lambda U=U: sv.index_form_complex(f, df, U) for U in sections]
+    calls += [lambda P=P: sv.index_form_real(f, df, P)
+              for U in sections for P in (U.real_part, U.imag_part)]
+    want = _first_error(calls)
+    got = _first_error([lambda: certify_index(f, df)])
+    assert got == want
+    label = {"section-1": "section 'U2'", "sections-0-1": "section 'U1'",
+             "real-part": "field 'Re(U2)'", "imag-part": "field 'Im(U2)'",
+             "both-parts": "field 'Re(U2)'", "im-1-re-2": "field 'Im(U1)'"}[which]
+    assert want[1].startswith(label)

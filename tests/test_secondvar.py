@@ -427,6 +427,46 @@ def test_gram_matrix_products_match_einsum_forms(kind, n, shape, size):
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
+def _gram_with_inline_blocks(f, df, basis):
+    """assemble_gram's arithmetic with its boundary blocks written out in
+    place, as they stood before certificates came to share them."""
+    state, grid, m = sv.boundary_state(f, df), f.grid, len(basis)
+    vb = np.array([V.boundary for V in basis], dtype=float)
+    interior, vb_t = sv._separable_interior(grid, basis)
+    hv = state.hess @ vb.transpose(1, 2, 0)
+    hv *= (grid.w_theta * state.lam / state.grad_norm)[:, None, None]
+    hv = np.ascontiguousarray(hv.transpose(2, 0, 1))
+    acc = -hv.reshape(m, -1) @ vb.reshape(m, -1).T
+    jt = apply_j(vb_t)
+    c1 = grid.w_theta * (jt.reshape(m, -1) @ vb.reshape(m, -1).T)
+    gram = 0.5 * (interior + acc + 0.5 * (c1 + c1.T))
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("kind, n, shape, size", workloads.GRAM_LADDER)
+def test_gram_csv_is_that_of_the_inline_blocks(kind, n, shape, size, tmp_path):
+    # the shared block helper changes no bit of a Gram matrix: gram.csv of
+    # the index action on every rung of the benchmark's ladder is the one
+    # the inline arithmetic gives
+    from dbardisk import harness
+
+    angle = 0.1 * size
+    if kind == "f4":
+        spec, domain = workloads.map_spec(workloads.rotated_f4(angle), "f4-rot"), "weak_rank_one"
+    else:
+        spec = workloads.map_spec(workloads.conj_disk(n, n - 1, angle), "conj")
+        domain = workloads.ball_spec(n)
+    harness.emit(harness.run(harness.ScenarioConfig(
+        action="index", map=spec, domain=domain, grid=shape, basis_size=size)), tmp_path)
+    f, df = make_map(spec, DiskGrid(*shape)), make_domain(domain)
+    basis = sv.admissible_basis(f, df, size)
+    want = _gram_with_inline_blocks(f, df, basis)
+    assert np.array_equal(sv.assemble_gram(f, df, basis).matrix, want)
+    text = ",".join(V.label for V in basis) + "\r\n"
+    text += "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in want.tolist())
+    assert (tmp_path / "gram.csv").read_bytes() == text.encode()
+
+
 def test_basis_fields_of_one_frequency_share_a_profile(grid, maps, ball):
     basis = sv.admissible_basis(maps["f3"], ball, 40)
     by_label = {V.label: V for V in basis}
@@ -459,6 +499,30 @@ def test_interior_bumps_hold_26n_fields(grid, monkeypatch, n):
     with pytest.raises(ValueError, match=rf"^bump count {26 * n + 1} exceeds the "
                                          rf"{26 * n} bumps available at n = {n}$"):
         sv.interior_bumps(grid, n, 26 * n + 1)
+
+
+@pytest.mark.parametrize("size", [0, -1, 1])
+def test_basis_refuses_a_size_below_one(grid, ball, monkeypatch, size):
+    # a size below one is refused, naming it, before the boundary state is
+    # formed; one field is a basis
+    f = make_map("f3", grid)
+    if size == 1:
+        assert len(sv.admissible_basis(f, ball, size)) == 1
+        return
+    monkeypatch.setattr(sv, "boundary_state", None)
+    with pytest.raises(ValueError, match=rf"^basis size {size} is below 1: "
+                                         "a basis needs at least one field$"):
+        sv.admissible_basis(f, ball, size)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1])
+def test_interior_bumps_refuse_a_negative_count(grid, monkeypatch, count):
+    if count >= 0:
+        assert len(sv.interior_bumps(grid, 2, count)) == count
+        return
+    monkeypatch.setattr(sv.VariationField, "separable", None)
+    with pytest.raises(ValueError, match=rf"^bump count {count} is negative$"):
+        sv.interior_bumps(grid, 2, count)
 
 
 def test_gram_generic_entries_match_index_form(grid, maps, ball):
